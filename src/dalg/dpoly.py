@@ -63,11 +63,6 @@ class JetVar:
             return "s"
         return "z" if self.fam == 2 else f"y{self.index}"
 
-    def shifted(self, by=1):
-        if self.fam == 0:
-            raise DalgError("s has no derivatives")
-        return JetVar(self.fam, self.index, self.order + by)
-
     def __str__(self):
         if self.fam == 0:
             return "s"
@@ -106,11 +101,6 @@ def mono_mul(m1, m2):
 
 def mono_deg(m):
     return sum(e for _, e in m)
-
-
-def mono_divides(m1, m2):
-    d = dict(m2)
-    return all(d.get(k, 0) >= e for k, e in m1)
 
 
 def mono_quo(m2, m1):
@@ -238,17 +228,10 @@ class DPoly:
                     best = max(best, e)
         return best
 
-    def has_var(self, v):
-        k = var_key(v)
-        return any(kk == k for m in self.terms for kk, _ in m)
-
     def leading_monomial(self):
         if not self.terms:
             raise DalgError("zero polynomial has no leading monomial")
         return max(self.terms, key=mono_sort_key)
-
-    def leading_coeff(self):
-        return self.terms[self.leading_monomial()]
 
     def constant_coeff(self):
         return self.terms.get((), self.field.zero)
@@ -432,9 +415,6 @@ class DPoly:
             bucket = out.setdefault(e, {})
             bucket[rest] = bucket.get(rest, f.zero) + c
         return {e: DPoly(f, t) for e, t in out.items() if any(not f.is_zero(c) for c in t.values())}
-
-    def coeff_of(self, v, e):
-        return self.as_poly_in(v).get(e, DPoly.zero(self.field))
 
     # -- normal form -----------------------------------------------------------
 

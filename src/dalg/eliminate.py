@@ -22,9 +22,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .dpoly import DPoly, JetVar, mono_mul
 from .errors import DalgError
-from .hilbert import _int_rows_data
 from .linalg import (SparseEliminator, check_budget, degree_monomials,
-                     monomial_count)
+                     int_rows_data, monomial_count, plain_q)
 from .system import SystemSpec, _family_of_label, prolong
 from . import bounds as _bounds
 
@@ -122,10 +121,9 @@ def find_annihilator(system: SystemSpec, l, r, k, budget=None):
     nrows = sum(monomial_count(v, k - d) for d in degs if d <= k)
     check_budget(nrows, len(columns), budget)
 
-    int_mode = (field.desc.kind == "Q" and not field.desc.params
-                and not field.desc.has_x)
+    int_mode = plain_q(field)
     if int_mode:
-        gen_terms = _int_rows_data(field, h_gens)
+        gen_terms = int_rows_data(field, h_gens)
         replay_gens = [
             DPoly(field, {mo: field.q(c) for mo, c in terms}, _raw=True)
             for terms in gen_terms

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .dpoly import DPoly, JetVar, mono_deg, mono_mul, mono_sort_key, var_key
 from .errors import DalgError, WindowError
 from .linalg import (SparseEliminator, check_budget, degree_monomials,
-                     modp_rank, monomial_count)
+                     int_rows_data, modp_rank, monomial_count, plain_q)
 from .system import prolong
 
 
@@ -64,21 +64,6 @@ def _validate_gens(gens, varkeys):
                         f"generator uses a variable outside the ring: {g}")
 
 
-def _int_rows_data(field, gens):
-    """Per generator: terms as (monomial, int) with cleared denominators."""
-    from math import gcd, lcm
-    out = []
-    for g in gens:
-        pairs = []
-        den = 1
-        for m, c in g.terms.items():
-            n, d = field.plain_rational_parts(c)
-            pairs.append((m, n, d))
-            den = lcm(den, d)
-        out.append([(m, n * (den // d)) for m, n, d in pairs])
-    return out
-
-
 class _LayerContext:
     """Shared column indexing and row generation for one variable set."""
 
@@ -88,11 +73,9 @@ class _LayerContext:
         self.varkeys = list(varkeys)
         self.v = len(self.varkeys)
         self.degs = [g.total_degree() for g in gens]
-        self.int_mode = (field is None or (
-            field.desc.kind == "Q" and not field.desc.params
-            and not field.desc.has_x))
+        self.int_mode = plain_q(field)
         if self.int_mode and field is not None:
-            self.int_terms = _int_rows_data(field, gens)
+            self.int_terms = int_rows_data(field, gens)
         else:
             self.int_terms = None
         self._cols = {}

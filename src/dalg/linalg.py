@@ -4,9 +4,15 @@ Rows live over a fixed ordered column set.  The eliminator keeps rows in
 row-echelon form with the deterministic pivot rule "first nonzero entry
 under the column order".  Over plain Q the arithmetic is fraction-free
 (integer cross-multiplication with content stripping); over other fields
-it divides by the pivot.  Each stored row can carry a trail expressing
-it as an exact combination of the rows fed in, which callers replay as
-membership certificates.
+it divides by the pivot.
+
+With tracking on, each stored row keeps a recipe instead of a trail: the
+pivot rows it was reduced by with their multipliers, the tag of the row
+fed in, that row's multiplier and the final divisor, all folded from the
+reduction steps with plain integers (field elements over other fields).
+Recording a recipe costs no more than the elimination it records.
+trail_of() expands the recipes on demand into an exact combination of
+the rows fed in, which callers replay as membership certificates.
 
 The modular engine computes matrix rank over F_p with dense float64
 BLAS blocks.  A mod-p rank never exceeds the rational rank, so a caller
@@ -19,7 +25,9 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb, gcd
+from heapq import heappop, heappush
+from math import comb, gcd, lcm
+from operator import not_
 
 import numpy as np
 
@@ -104,15 +112,42 @@ def monomial_count(v, k):
 # ---------------------------------------------------------------------------
 # exact sparse eliminator
 
+def plain_q(field):
+    """True when coefficients are plain rationals (no field means Q).
+
+    Layers over plain Q are reduced fraction-free with integer rows; every
+    other field is reduced with its own division.
+    """
+    return field is None or (field.desc.kind == "Q" and not field.desc.params
+                             and not field.desc.has_x)
+
+
+def int_rows_data(field, gens):
+    """Per generator: terms as (monomial, int) with cleared denominators."""
+    out = []
+    for g in gens:
+        pairs = []
+        den = 1
+        for m, c in g.terms.items():
+            n, d = field.plain_rational_parts(c)
+            pairs.append((m, n, d))
+            den = lcm(den, d)
+        out.append([(m, n * (den // d)) for m, n, d in pairs])
+    return out
+
+
 class SparseEliminator:
-    """Incremental row echelon form over Q (integer rows) or a Field."""
+    """Incremental row echelon form over Q (integer rows) or a Field.
+
+    With track=True, trails[i] is the recipe (coeffs, tag, scale, divisor)
+    of stored row i: row_i = (scale*input - sum_p coeffs[p]*row_p) / divisor,
+    where input is the row fed in under tag and every p < i.
+    """
 
     def __init__(self, ncols, field=None, track=False):
         self.ncols = ncols
         self.field = field
-        self.int_mode = field is None or (
-            field.desc.kind == "Q" and not field.desc.params and not field.desc.has_x
-        )
+        self.int_mode = plain_q(field)
         self.track = track
         self.rows = []
         self.trails = []
@@ -123,43 +158,45 @@ class SparseEliminator:
     def rank(self):
         return len(self.rows)
 
+    def _store(self, row, c, recipe):
+        self.pivot_of_col[c] = len(self.rows)
+        self.rows.append(row)
+        self.pivot_col_of_row.append(c)
+        self.trails.append(recipe)
+        return c
+
     # -- integer rows ---------------------------------------------------
 
-    @staticmethod
-    def _strip_int(row, trail):
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-            if g == 1:
-                return row, trail
-        if g > 1:
-            row = {c: v // g for c, v in row.items()}
-            if trail is not None:
-                trail = {t: v / g for t, v in trail.items()}
-        return row, trail
-
-    def _add_int(self, row, trail):
+    def _add_int(self, row, tag, steps):
         while row:
             c = min(row)
             p = self.pivot_of_col.get(c)
             if p is None:
-                row, trail = self._strip_int(row, trail)
+                g = 0
+                for v in row.values():
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
                 if row[c] < 0:
-                    row = {cc: -v for cc, v in row.items()}
-                    if trail is not None:
-                        trail = {t: -v for t, v in trail.items()}
-                self.pivot_of_col[c] = len(self.rows)
-                self.rows.append(row)
-                self.pivot_col_of_row.append(c)
-                self.trails.append(trail)
-                return c
+                    g = -g
+                if g != 1:
+                    row = {cc: v // g for cc, v in row.items()}
+                recipe = None
+                if steps is not None:
+                    # fold the steps: each one scaled the running row by
+                    # ma, so a step's mb picks up every later ma
+                    coeffs = {}
+                    scale = 1
+                    for q, ma, mb in reversed(steps):
+                        coeffs[q] = mb * scale
+                        scale *= ma
+                    recipe = (coeffs, tag, scale, g)
+                return self._store(row, c, recipe)
             prow = self.rows[p]
             a, b = prow[c], row[c]
             g = gcd(a, b)
             ma, mb = a // g, b // g
-            new = {}
-            for cc, v in row.items():
-                new[cc] = v * ma
+            new = dict(row) if ma == 1 else {cc: v * ma for cc, v in row.items()}
             for cc, v in prow.items():
                 w = new.get(cc, 0) - v * mb
                 if w:
@@ -167,41 +204,26 @@ class SparseEliminator:
                 else:
                     new.pop(cc, None)
             row = new
-            if trail is not None:
-                fa, fb = Fraction(ma), Fraction(mb)
-                ptrail = self.trails[p]
-                nt = {t: v * fa for t, v in trail.items()}
-                for t, v in ptrail.items():
-                    w = nt.get(t, 0) - v * fb
-                    if w:
-                        nt[t] = w
-                    else:
-                        nt.pop(t, None)
-                trail = nt
+            if steps is not None:
+                steps.append((p, ma, mb))
         return None
 
     # -- field rows -------------------------------------------------------
 
-    def _add_field(self, row, trail):
+    def _add_field(self, row, tag, steps):
         f = self.field
         while row:
             c = min(row)
             p = self.pivot_of_col.get(c)
             if p is None:
-                inv = f.one / row[c]
+                piv = row[c]
+                inv = f.one / piv
                 row = {cc: v * inv for cc, v in row.items()}
-                if trail is not None:
-                    trail = {t: v * inv for t, v in trail.items()}
-                self.pivot_of_col[c] = len(self.rows)
-                self.rows.append(row)
-                self.pivot_col_of_row.append(c)
-                self.trails.append(trail)
-                return c
+                recipe = None if steps is None else (dict(steps), tag, f.one, piv)
+                return self._store(row, c, recipe)
             prow = self.rows[p]
             factor = row[c]
-            new = {}
-            for cc, v in row.items():
-                new[cc] = v
+            new = dict(row)
             for cc, v in prow.items():
                 w = new.get(cc, f.zero) - v * factor
                 if f.is_zero(w):
@@ -209,36 +231,61 @@ class SparseEliminator:
                 else:
                     new[cc] = w
             row = new
-            if trail is not None:
-                ptrail = self.trails[p]
-                nt = dict(trail)
-                for t, v in ptrail.items():
-                    w = nt.get(t, f.zero) - v * factor
-                    if f.is_zero(w):
-                        nt.pop(t, None)
-                    else:
-                        nt[t] = w
-                trail = nt
+            if steps is not None:
+                steps.append((p, factor))
         return None
 
     def add_row(self, row, tag=None):
         """Reduce a row and store it if independent; returns its pivot column.
 
         Integer mode expects integer entries; field mode expects Coeff.
+        When tracking, the reduction steps are kept as the row's recipe.
         """
         if not row:
             return None
-        trail = {tag: Fraction(1) if self.int_mode else self.field.one} if self.track else None
+        steps = [] if self.track else None
         if self.int_mode:
-            return self._add_int(dict(row), trail)
-        return self._add_field(dict(row), trail)
+            return self._add_int(dict(row), tag, steps)
+        return self._add_field(dict(row), tag, steps)
 
     def row_fractions(self, i):
         """Entries of stored row i over Q as {col: Fraction} (integer mode)."""
         return {c: Fraction(v) for c, v in self.rows[i].items()}
 
     def trail_of(self, i):
-        return self.trails[i]
+        """Stored row i as a combination {tag: coefficient} of the input rows.
+
+        Expands the recipes on demand: rows are visited in descending
+        index order, so a row's weight is final before its recipe hands
+        weight down to the earlier rows it was reduced by.  Coefficients
+        are Fractions in integer mode and field elements otherwise; tags
+        whose coefficients cancel are left out.
+        """
+        if self.trails[i] is None:
+            return None
+        if self.int_mode:
+            one, zero, is_zero = Fraction(1), Fraction(0), not_
+        else:
+            f = self.field
+            one, zero, is_zero = f.one, f.zero, f.is_zero
+        weight = {i: one}
+        heap = [-i]
+        out = {}
+        while heap:
+            j = -heappop(heap)
+            w = weight.pop(j)
+            if is_zero(w):
+                continue
+            coeffs, tag, scale, divisor = self.trails[j]
+            w = w / divisor
+            out[tag] = out.get(tag, zero) + w * scale
+            for p, b in coeffs.items():
+                if p in weight:
+                    weight[p] -= w * b
+                else:
+                    weight[p] = -(w * b)
+                    heappush(heap, -p)
+        return {t: v for t, v in out.items() if not is_zero(v)}
 
 
 # ---------------------------------------------------------------------------

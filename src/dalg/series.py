@@ -47,10 +47,6 @@ def _lneg(field, a):
     return [-c for c in a]
 
 
-def _lscale(field, a, c):
-    return [v * c for v in a]
-
-
 def _lmul(field, a, b, n=None):
     if n is None:
         n = min(len(a), len(b))

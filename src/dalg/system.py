@@ -71,12 +71,6 @@ class SystemSpec:
                 out[key] = max(out.get(key, -1), order)
         return out
 
-    def target_order(self):
-        return self.orders()[self.target_family]
-
-    def max_degree(self):
-        return max(g.total_degree() for g in self.gens)
-
     def families(self):
         return sorted(self.orders())
 
@@ -93,20 +87,3 @@ def prolong(spec: SystemSpec, m: int):
             cur = cur.derive(mode=spec.mode)
             out.append(cur)
     return out
-
-
-def relabel(p: DPoly, mapping):
-    """Rename jet families; mapping sends (fam, idx) to (fam, idx)."""
-    table = {}
-    for m in p.terms:
-        for (fam, idx, order), _ in m:
-            if fam == 0:
-                continue
-            src = (fam, idx)
-            if src in mapping:
-                nf, ni = mapping[src]
-                table[(fam, idx, order)] = JetVar(nf, ni, order)
-    if not table:
-        return p
-    bind = {k: DPoly.var(p.field, v) for k, v in table.items()}
-    return p.substitute(bind)

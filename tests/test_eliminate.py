@@ -48,6 +48,9 @@ def test_sum_of_exp_and_tan():
     assert ann.order == 2 and ann.degree == 3
     assert ann.k_searched == 4
     assert ann.membership_certified
+    assert str(ann.poly) == (
+        "4*z'^3 - 12*z*z'^2 + 12*z^2*z' - 4*z^3 - z''^2 + 6*z'*z'' - 8*z'^2"
+        " - 4*z*z'' + 10*z*z' - 3*z^2 - 3*z'' + 7*z' - 4*z - 3")
     assert ann.bounds_comparison["theorem_k_min"] == 22
     assert ann.bounds_comparison["sufficiency_k"] == 22
     assert ann.k_searched <= ann.bounds_comparison["sufficiency_k"]

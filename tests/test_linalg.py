@@ -1,5 +1,6 @@
-"""Sparse exact elimination against a dense Fraction oracle, the
-mod-p rank engine, budgets, and monomial layer enumeration."""
+"""Sparse exact elimination against a dense Fraction oracle, recipe
+trails replayed row by row, the mod-p rank engine, budgets, and monomial
+layer enumeration."""
 
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from dalg import JetVar
+from dalg import JetVar, get_field
 from dalg.errors import BudgetExceededError
 from dalg.linalg import (SparseEliminator, check_budget, degree_monomials,
                          modp_rank, monomial_count)
@@ -25,6 +26,19 @@ def _random_rows(rng, nrows, ncols, density=0.4, frac=False):
                 if val:
                     row[j] = Fraction(val, rng.randint(1, 3)) if frac else val
         rows.append(row)
+    return rows
+
+
+def _with_combinations(rng, rows, count):
+    """rows plus count integer combinations, each of all rows before it."""
+    rows = list(rows)
+    for _ in range(count):
+        combo = {}
+        for r in rows:
+            c = rng.randint(-3, 3)
+            for j, v in r.items():
+                combo[j] = combo.get(j, 0) + c * v
+        rows.append({j: v for j, v in combo.items() if v})
     return rows
 
 
@@ -53,37 +67,44 @@ def test_rank_with_planted_dependencies():
     rng = random.Random(23)
     for _ in range(40):
         ncols = rng.randint(2, 7)
-        base = _random_rows(rng, 3, ncols)
-        # add combinations of the base rows: rank must not grow
-        combo = {}
-        for r in base:
-            c = rng.randint(-3, 3)
-            for j, v in r.items():
-                combo[j] = combo.get(j, 0) + c * v
-        combo = {j: v for j, v in combo.items() if v}
-        rows = base + [combo]
+        # add a combination of the base rows: rank must not grow
+        rows = _with_combinations(rng, _random_rows(rng, 3, ncols), 1)
         elim = SparseEliminator(ncols)
         for r in rows:
             elim.add_row(dict(r))
         assert elim.rank == dense_rank(rows, ncols)
 
 
-def test_trail_replays_each_reduced_row():
+@pytest.mark.parametrize("mode", ["int", "Qi"])
+def test_trail_replays_each_reduced_row(mode):
+    # appended combinations reduce to zero or to long chains of earlier
+    # pivot rows, so recipes reach deep before they are expanded
+    field = None if mode == "int" else get_field("Qi")
     rng = random.Random(24)
+    dependent = 0
     for _ in range(30):
-        ncols = rng.randint(2, 6)
-        rows = _random_rows(rng, rng.randint(1, 6), ncols)
-        elim = SparseEliminator(ncols, track=True)
+        ncols = rng.randint(2, 12)
+        rows = _random_rows(rng, rng.randint(1, 14), ncols)
+        if field is not None:
+            unit = field.i()
+            rows = [{j: field.q(v) + field.q(rng.randint(-2, 2)) * unit
+                     for j, v in r.items()} for r in rows]
+        rows = _with_combinations(rng, rows, rng.randint(0, 6))
+        zero = Fraction(0) if field is None else field.zero
+        elim = SparseEliminator(ncols, field=field, track=True)
         for t, r in enumerate(rows):
             elim.add_row(dict(r), tag=t)
+        dependent += len(rows) - elim.rank
         for i in range(len(elim.rows)):
-            stored = elim.row_fractions(i)
+            stored = (elim.row_fractions(i) if field is None
+                      else elim.rows[i])
             replay = {}
             for tag, coeff in elim.trail_of(i).items():
                 for j, v in rows[tag].items():
-                    replay[j] = replay.get(j, Fraction(0)) + coeff * v
-            replay = {j: v for j, v in replay.items() if v}
+                    replay[j] = replay.get(j, zero) + coeff * v
+            replay = {j: v for j, v in replay.items() if v != zero}
             assert replay == stored
+    assert dependent
 
 
 def test_modp_rank_lower_bounds_exact_rank():
