@@ -32,8 +32,7 @@ from fractions import Fraction
 from . import bounds as _bounds
 from .eliminate import (Annihilator, composition_system, eliminate_search,
                         rational_system, sum_product_system)
-from .errors import (BudgetExceededError, DalgError, HypothesisError,
-                     ParseError)
+from .errors import BudgetExceededError, DalgError, HypothesisError
 from .fields import field_from_label
 from .grammar import parse_poly, parse_system
 from .hilbert import check_dregular
@@ -52,18 +51,6 @@ _DEFAULT_FMT = {
     "verify": "json",
     "experiment": "json",
 }
-
-_SCHEMA_NAME = {
-    "bound": "bound",
-    "curve": "curve",
-    "eliminate": "eliminate",
-    "reselim": "reselim",
-    "hilbert": "hilbert",
-    "checkdreg": "checkdreg",
-    "verify": "verify",
-    "experiment": "experiment",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -86,9 +73,8 @@ class RunConfig:
 
 def schema_path(subcommand):
     """Filesystem path of the published JSON schema for a subcommand."""
-    name = _SCHEMA_NAME[subcommand]
     return os.path.join(os.path.dirname(__file__), "schemas",
-                        f"{name}.schema.json")
+                        f"{subcommand}.schema.json")
 
 
 def load_schema(subcommand):
@@ -571,19 +557,13 @@ def main(argv=None):
     try:
         with budget:
             out, code = args.func(cfg, args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DalgError as exc:
+    except (DalgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(out)

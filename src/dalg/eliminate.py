@@ -22,8 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .dpoly import DPoly, JetVar, mono_mul
 from .errors import DalgError
-from .linalg import (SparseEliminator, check_budget, degree_monomials,
-                     int_rows_data, monomial_count, plain_q)
+from .linalg import MacaulayLayers
 from .system import SystemSpec, _family_of_label, prolong
 from . import bounds as _bounds
 
@@ -85,7 +84,7 @@ def _ring_varkeys(system: SystemSpec, m: int):
     return sorted(keys)
 
 
-def find_annihilator(system: SystemSpec, l, r, k, budget=None):
+def find_annihilator(system: SystemSpec, l, r, k):
     """Search the degree-k layer of h(I)^(r - r_l) for a target-only row.
 
     Returns an Annihilator or NotFoundAtK.  l defaults to the system's
@@ -104,64 +103,34 @@ def find_annihilator(system: SystemSpec, l, r, k, budget=None):
             f"r = {r} is below the target's order {r_l} in the system")
     m = r - r_l
     field = system.field
-    prolonged = prolong(system, m)
-    h_gens = [g.homogenize() for g in prolonged]
-    varkeys = _ring_varkeys(system, m)
-    v = len(varkeys)
-
+    h_gens = [g.homogenize() for g in prolong(system, m)]
     target_keys = {JetVar.s().key} | {(fam[0], fam[1], j) for j in range(r + 1)}
-    monos = degree_monomials(varkeys, k)
-    non_target = [mo for mo in monos if any(kk not in target_keys for kk, _ in mo)]
-    target_block = [mo for mo in monos if all(kk in target_keys for kk, _ in mo)]
-    columns = non_target + target_block
-    target_start = len(non_target)
-    index = {mo: i for i, mo in enumerate(columns)}
-
-    degs = [g.total_degree() for g in h_gens]
-    nrows = sum(monomial_count(v, k - d) for d in degs if d <= k)
-    check_budget(nrows, len(columns), budget)
-
-    int_mode = plain_q(field)
-    if int_mode:
-        gen_terms = int_rows_data(field, h_gens)
-        replay_gens = [
-            DPoly(field, {mo: field.q(c) for mo, c in terms}, _raw=True)
-            for terms in gen_terms
-        ]
-    else:
-        gen_terms = [list(g.terms.items()) for g in h_gens]
-        replay_gens = h_gens
-
-    elim = SparseEliminator(len(columns),
-                            field=None if int_mode else field, track=True)
-    tags = {}
-    for gi, (d, terms) in enumerate(zip(degs, gen_terms)):
-        if d > k:
-            continue
-        for mu in degree_monomials(varkeys, k - d):
-            tag = len(tags)
-            tags[tag] = (gi, mu)
-            elim.add_row({index[mono_mul(mu, mo)]: c for mo, c in terms}, tag)
+    layers = MacaulayLayers(field, h_gens, _ring_varkeys(system, m),
+                            last=target_keys)
+    elim, labels = layers.eliminate(k, track=True)
+    columns, _, target_start = layers.columns(k)
 
     hits = [c for c in elim.pivot_of_col if c >= target_start]
     if not hits:
-        return NotFoundAtK(k=k, rows=nrows, cols=len(columns))
+        return NotFoundAtK(k=k, rows=len(labels), cols=len(columns))
     best = max(hits)
     ridx = elim.pivot_of_col[best]
 
-    if int_mode:
-        entries = elim.rows[ridx]
+    entries = elim.rows[ridx]
+    if layers.int_mode:
         row_poly = DPoly(field, {columns[c]: field.q(val)
                                  for c, val in entries.items()}, _raw=True)
+        replay_gens = [DPoly(field, {mo: field.q(c) for mo, c in terms},
+                             _raw=True) for terms in layers.terms]
     else:
-        entries = elim.rows[ridx]
         row_poly = DPoly(field, {columns[c]: val for c, val in entries.items()})
+        replay_gens = h_gens
     if any(c < target_start for c in entries):
         raise DalgError("internal error: reduced row leaks non-target columns")
 
     combo = DPoly.zero(field)
     for tag, coeff in elim.trail_of(ridx).items():
-        gi, mu = tags[tag]
+        gi, mu = labels[tag]
         g = replay_gens[gi]
         piece = DPoly(field, {mono_mul(mu, mo): c
                               for mo, c in g.terms.items()}, _raw=True)
@@ -195,14 +164,14 @@ def _bounds_comparison(system: SystemSpec, l, r):
             "sufficiency_k": _bounds.sufficiency_k(d, r_min, r_l, r)}
 
 
-def eliminate_search(system: SystemSpec, l, r, k_max, budget=None):
+def eliminate_search(system: SystemSpec, l, r, k_max):
     """First annihilator over layers k = 1..k_max, with bound context."""
     if k_max < 1:
         raise DalgError("k_max must be >= 1")
     l = l or system.target
     attempts = []
     for k in range(1, k_max + 1):
-        res = find_annihilator(system, l, r, k, budget=budget)
+        res = find_annihilator(system, l, r, k)
         if isinstance(res, Annihilator):
             res.bounds_comparison = _bounds_comparison(system, l, r)
             return res

@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from .dpoly import DPoly, JetVar, mono_deg, mono_mul, mono_sort_key, var_key
 from .errors import DalgError, WindowError
-from .linalg import (SparseEliminator, check_budget, degree_monomials,
-                     int_rows_data, modp_rank, monomial_count, plain_q)
+from .linalg import MacaulayLayers, modp_rank, monomial_count
 from .system import prolong
 
 
@@ -64,55 +63,6 @@ def _validate_gens(gens, varkeys):
                         f"generator uses a variable outside the ring: {g}")
 
 
-class _LayerContext:
-    """Shared column indexing and row generation for one variable set."""
-
-    def __init__(self, field, gens, varkeys):
-        self.field = field
-        self.gens = gens
-        self.varkeys = list(varkeys)
-        self.v = len(self.varkeys)
-        self.degs = [g.total_degree() for g in gens]
-        self.int_mode = plain_q(field)
-        if self.int_mode and field is not None:
-            self.int_terms = int_rows_data(field, gens)
-        else:
-            self.int_terms = None
-        self._cols = {}
-
-    def columns(self, k):
-        if k not in self._cols:
-            monos = degree_monomials(self.varkeys, k)
-            self._cols[k] = (monos, {m: i for i, m in enumerate(monos)})
-        return self._cols[k]
-
-    def rows(self, k, upto_gen=None):
-        """Row dicts of the degree-k layer for gens[:upto_gen]."""
-        _, index = self.columns(k)
-        n = len(self.gens) if upto_gen is None else upto_gen
-        for gi in range(n):
-            d = self.degs[gi]
-            if d > k:
-                continue
-            terms = (self.int_terms[gi] if self.int_terms is not None
-                     else list(self.gens[gi].terms.items()))
-            for mu in degree_monomials(self.varkeys, k - d):
-                yield gi, mu, {index[mono_mul(mu, m)]: c for m, c in terms}
-
-    def nrows(self, k, upto_gen=None):
-        n = len(self.gens) if upto_gen is None else upto_gen
-        return sum(monomial_count(self.v, k - self.degs[gi])
-                   for gi in range(n) if self.degs[gi] <= k)
-
-    def exact_rank(self, k, upto_gen=None):
-        ncols = monomial_count(self.v, k)
-        check_budget(self.nrows(k, upto_gen), ncols)
-        elim = SparseEliminator(ncols, field=None if self.int_mode else self.field)
-        for _, _, row in self.rows(k, upto_gen):
-            elim.add_row(row)
-        return elim.rank
-
-
 @dataclass
 class MacaulayLayer:
     """Degree-k component data: every row is monomial * generator."""
@@ -133,11 +83,11 @@ def macaulay_layer(gens, vars_, k, field=None):
         field = gens[0].field
     varkeys = _as_keys(vars_)
     _validate_gens(gens, varkeys)
-    ctx = _LayerContext(field, gens, varkeys)
-    cols, _ = ctx.columns(k)
-    rows = [(gi, mu) for gi, mu, _ in ctx.rows(k)]
-    return MacaulayLayer(degree=k, varkeys=varkeys, columns=cols,
-                         row_index=rows, rank=ctx.exact_rank(k))
+    layers = MacaulayLayers(field, gens, varkeys)
+    elim, labels = layers.eliminate(k)
+    return MacaulayLayer(degree=k, varkeys=varkeys,
+                         columns=layers.columns(k)[0], row_index=labels,
+                         rank=elim.rank)
 
 
 def hf(gens, vars_, k):
@@ -148,8 +98,8 @@ def hf(gens, vars_, k):
     _validate_gens(gens, varkeys)
     if not gens:
         return monomial_count(len(varkeys), k)
-    ctx = _LayerContext(gens[0].field, gens, varkeys)
-    return monomial_count(len(varkeys), k) - ctx.exact_rank(k)
+    layers = MacaulayLayers(gens[0].field, gens, varkeys)
+    return monomial_count(len(varkeys), k) - layers.eliminate(k)[0].rank
 
 
 def hs_regular_closed_form(degrees, v, upto):
@@ -204,38 +154,35 @@ def check_regular_sequence(gens, vars_, cutoff):
     _validate_gens(gens, varkeys)
     if not gens:
         raise DalgError("empty generator list")
-    field = gens[0].field
-    ctx = _LayerContext(field, gens, varkeys)
-    v = ctx.v
+    layers = MacaulayLayers(gens[0].field, gens, varkeys)
+    v = len(varkeys)
     n = len(gens)
 
     # ranks[i][k] = rank of the degree-k layer of the first i generators
     ranks = [[0] * (cutoff + 1)]
     for i in range(1, n + 1):
-        d_i = ctx.degs[i - 1]
+        d_i = layers.degs[i - 1]
         prev = ranks[i - 1]
         cur = []
         for k in range(cutoff + 1):
             hf_prev_shift = (monomial_count(v, k - d_i) - prev[k - d_i]
                              if k >= d_i else 0)
             upper = prev[k] + hf_prev_shift
-            nrows = ctx.nrows(k, i)
-            ncols = monomial_count(v, k)
-            check_budget(nrows, ncols)
             rank = None
-            if ctx.int_mode and nrows and upper:
-                rp = modp_rank((row for _, _, row in ctx.rows(k, i)), ncols)
+            if layers.int_mode and layers.nrows(k, i) and upper:
+                rp = modp_rank((row for _, _, row in layers.rows(k, i)),
+                               monomial_count(v, k))
                 if rp == upper:
                     rank = upper
             if rank is None:
-                rank = ctx.exact_rank(k, i)
+                rank = layers.eliminate(k, i)[0].rank
             cur.append(rank)
         ranks.append(cur)
 
     prefixes = []
     hf_values = {}
     for i in range(1, n + 1):
-        d_i = ctx.degs[i - 1]
+        d_i = layers.degs[i - 1]
         verdicts = {}
         first_fail = None
         for k in range(cutoff + 1):

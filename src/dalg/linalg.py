@@ -1,4 +1,8 @@
-"""Exact sparse row reduction and a fast modular rank engine.
+"""Macaulay layers, exact sparse row reduction and a sparse mod-p rank.
+
+MacaulayLayers is the one builder of Macaulay layers: it orders the
+columns, makes the rows monomial * generator (integer-cleared over plain
+Q) and checks the work budget before any row of a layer is built.
 
 Rows live over a fixed ordered column set.  The eliminator keeps rows in
 row-echelon form with the deterministic pivot rule "first nonzero entry
@@ -14,10 +18,10 @@ Recording a recipe costs no more than the elimination it records.
 trail_of() expands the recipes on demand into an exact combination of
 the rows fed in, which callers replay as membership certificates.
 
-The modular engine computes matrix rank over F_p with dense float64
-BLAS blocks.  A mod-p rank never exceeds the rational rank, so a caller
-holding a matching upper bound can certify exactness; otherwise it must
-fall back to the exact eliminator.
+modp_rank reduces the same sparse integer rows over F_p with plain
+integer arithmetic.  A mod-p rank never exceeds the rational rank, so a
+caller holding a matching upper bound can certify exactness; otherwise
+it must fall back to the exact eliminator.
 """
 
 from __future__ import annotations
@@ -29,13 +33,11 @@ from heapq import heappop, heappush
 from math import comb, gcd, lcm
 from operator import not_
 
-import numpy as np
-
+from .dpoly import mono_mul
 from .errors import BudgetExceededError
 
 DEFAULT_BUDGET = 2 * 10**7
 
-# below 2**20, so 8192-term float64 dot products stay exact (< 2**53)
 MOD_P = 999983
 
 _budget_override = None
@@ -66,8 +68,8 @@ def current_budget():
     return DEFAULT_BUDGET
 
 
-def check_budget(rows, cols, budget=None):
-    budget = current_budget() if budget is None else budget
+def check_budget(rows, cols):
+    budget = current_budget()
     if rows * cols > budget:
         raise BudgetExceededError(rows, cols, budget)
 
@@ -289,53 +291,99 @@ class SparseEliminator:
 
 
 # ---------------------------------------------------------------------------
+# Macaulay layers
+
+class MacaulayLayers:
+    """Macaulay layers of homogeneous generators over one variable set.
+
+    The degree-k layer has one row mu*g for each generator g and each
+    monomial mu of degree k - deg g.  Its columns are the degree-k
+    monomials in descending grevlex order; with last, a set of variable
+    keys, the monomials whose variables all lie in last move to the end
+    in the same order.  Over plain Q the generators' terms are cleared to
+    integers once, so rows feed the fraction-free eliminator and
+    modp_rank alike.
+    """
+
+    def __init__(self, field, gens, varkeys, last=None):
+        self.field = field
+        self.varkeys = list(varkeys)
+        self.last = last
+        self.degs = [g.total_degree() for g in gens]
+        self.int_mode = plain_q(field)
+        self.terms = (int_rows_data(field, gens) if self.int_mode
+                      else [list(g.terms.items()) for g in gens])
+        self._cols = {}
+
+    def columns(self, k):
+        """(monomials, column of each monomial, first column of the last
+        block) of the degree-k layer."""
+        if k not in self._cols:
+            monos = degree_monomials(self.varkeys, k)
+            tail = [] if self.last is None else [
+                m for m in monos if all(x in self.last for x, _ in m)]
+            if tail:
+                in_tail = set(tail)
+                monos = [m for m in monos if m not in in_tail] + tail
+            self._cols[k] = (monos, {m: i for i, m in enumerate(monos)},
+                             len(monos) - len(tail))
+        return self._cols[k]
+
+    def nrows(self, k, upto=None):
+        """Row count of the degree-k layer of gens[:upto]."""
+        v = len(self.varkeys)
+        return sum(monomial_count(v, k - d) for d in self.degs[:upto] if d <= k)
+
+    def rows(self, k, upto=None):
+        """(gi, mu, row) for each row of the degree-k layer of gens[:upto],
+        generator by generator; the work budget is checked first."""
+        check_budget(self.nrows(k, upto), monomial_count(len(self.varkeys), k))
+        _, index, _ = self.columns(k)
+        return ((gi, mu, {index[mono_mul(mu, m)]: c for m, c in self.terms[gi]})
+                for gi, d in enumerate(self.degs[:upto]) if d <= k
+                for mu in degree_monomials(self.varkeys, k - d))
+
+    def eliminate(self, k, upto=None, track=False):
+        """Row-reduce the degree-k layer of gens[:upto].
+
+        Returns the eliminator and the (gi, mu) of each row; a row's tag
+        is its position in that list.
+        """
+        rows = self.rows(k, upto)
+        elim = SparseEliminator(len(self.columns(k)[0]), self.field, track)
+        labels = []
+        for gi, mu, row in rows:
+            elim.add_row(row, len(labels))
+            labels.append((gi, mu))
+        return elim, labels
+
+
+# ---------------------------------------------------------------------------
 # modular rank
 
-def modp_rank(rows, ncols, p=MOD_P, chunk=256):
-    """Rank over F_p of integer rows; never exceeds the rank over Q."""
-    pivcols = []
-    pivmat = np.zeros((0, ncols))
-    buf = np.zeros((chunk, ncols))
-    nbuf = 0
+def modp_rank(rows, ncols):
+    """Rank over F_p, p = MOD_P, of integer rows of a layer ncols wide.
 
-    def flush(block):
-        nonlocal pivcols, pivmat
-        if pivcols:
-            sel = block[:, pivcols]
-            # accumulate in slices so dot products stay below 2**53
-            step = 8192
-            for s in range(0, len(pivcols), step):
-                block = block - sel[:, s:s + step] @ pivmat[s:s + step]
-                block %= p
-        for i in range(block.shape[0]):
-            r = block[i]
-            nz = np.nonzero(r)[0]
-            if nz.size == 0:
-                continue
-            c = int(nz[0])
-            inv = pow(int(r[c]), p - 2, p)
-            r = (r * inv) % p
-            if i + 1 < block.shape[0]:
-                col = block[i + 1:, c].copy()
-                mask = col != 0
-                if mask.any():
-                    block[i + 1:][mask] = (block[i + 1:][mask] - np.outer(col[mask], r)) % p
-            if pivcols:
-                col = pivmat[:, c].copy()
-                mask = col != 0
-                if mask.any():
-                    pivmat[mask] = (pivmat[mask] - np.outer(col[mask], r)) % p
-            pivmat = np.vstack([pivmat, r[None, :]])
-            pivcols.append(c)
-
+    Each stored pivot row is scaled to a leading 1 and every row fed in is
+    reduced by them, sparse, under the same column order as the exact
+    eliminator.  The rank never exceeds the rank over Q.  The rows carry
+    their own columns, so ncols only names the layer's width.
+    """
+    pivots = {}
     for row in rows:
-        for c, v in row.items():
-            buf[nbuf, c] = v % p
-        nbuf += 1
-        if nbuf == chunk:
-            flush(buf[:nbuf].copy())
-            buf[:] = 0.0
-            nbuf = 0
-    if nbuf:
-        flush(buf[:nbuf].copy())
-    return len(pivcols)
+        row = {c: v % MOD_P for c, v in row.items() if v % MOD_P}
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(row[c], -1, MOD_P)
+                pivots[c] = {cc: v * inv % MOD_P for cc, v in row.items()}
+                break
+            f = row[c]
+            for cc, v in prow.items():
+                w = (row.get(cc, 0) - f * v) % MOD_P
+                if w:
+                    row[cc] = w
+                else:
+                    row.pop(cc, None)
+    return len(pivots)

@@ -162,17 +162,11 @@ def _coeff_vector(p: DPoly, v: JetVar):
     return [by_exp.get(e, DPoly.zero(p.field)) for e in range(d, -1, -1)]
 
 
-def sylvester_matrix(P: DPoly, Q: DPoly, v: JetVar) -> SylvesterLayout:
-    dp = P.degree_in(v)
-    dq = Q.degree_in(v)
-    if dp <= 0 or dq <= 0:
-        raise DalgError(
-            f"degenerate resultant: inputs must both have positive degree "
-            f"in {v} (got {dp} and {dq})")
-    field = P.field
+def _sylvester(pc, qc, field):
+    """Sylvester matrix of two descending coefficient lists: column j
+    holds pc shifted down j places for j < deg Q, then qc likewise."""
+    dp, dq = len(pc) - 1, len(qc) - 1
     zero = DPoly.zero(field)
-    pc = _coeff_vector(P, v)
-    qc = _coeff_vector(Q, v)
     n = dp + dq
     M = [[zero] * n for _ in range(n)]
     for j in range(dq):
@@ -181,7 +175,19 @@ def sylvester_matrix(P: DPoly, Q: DPoly, v: JetVar) -> SylvesterLayout:
     for j in range(dp):
         for t, c in enumerate(qc):
             M[j + t][dq + j] = c
-    return SylvesterLayout(variable=v, degrees=(dp, dq), matrix=M)
+    return M
+
+
+def sylvester_matrix(P: DPoly, Q: DPoly, v: JetVar) -> SylvesterLayout:
+    dp = P.degree_in(v)
+    dq = Q.degree_in(v)
+    if dp <= 0 or dq <= 0:
+        raise DalgError(
+            f"degenerate resultant: inputs must both have positive degree "
+            f"in {v} (got {dp} and {dq})")
+    return SylvesterLayout(variable=v, degrees=(dp, dq),
+                           matrix=_sylvester(_coeff_vector(P, v),
+                                             _coeff_vector(Q, v), P.field))
 
 
 def _bareiss_det(M, field):
@@ -421,16 +427,7 @@ def _resultant_in_x(P: DPoly, Q: DPoly) -> DPoly:
     dp, dq = len(pc) - 1, len(qc) - 1
     if dp <= 0 or dq <= 0:
         raise DalgError("degenerate resultant in x")
-    zero = DPoly.zero(field)
-    n = dp + dq
-    M = [[zero] * n for _ in range(n)]
-    for j in range(dq):
-        for t, c in enumerate(pc):
-            M[j + t][j] = c
-    for j in range(dp):
-        for t, c in enumerate(qc):
-            M[j + t][dq + j] = c
-    return _bareiss_det(M, field)
+    return _bareiss_det(_sylvester(pc, qc, field), field)
 
 
 # ---------------------------------------------------------------------------

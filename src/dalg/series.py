@@ -17,13 +17,14 @@ from math import comb, factorial
 from .dpoly import DPoly, JetVar
 from .errors import DalgError, HypothesisError
 from .fields import Field, get_field
+from .linalg import plain_q
 from .system import _family_of_label
 
 
 def _embed(c, src: Field, dst: Field):
     if src.desc == dst.desc:
         return c
-    if src.desc.kind == "Q" and not src.desc.params and not src.desc.has_x:
+    if plain_q(src):
         return dst.from_fraction(Fraction(int(c.numerator),
                                           int(c.denominator)))
     if (src.desc.kind == "Qi" and not src.desc.params and not src.desc.has_x

@@ -222,6 +222,14 @@ def test_checkdreg_nonregular_exit5(capsys, tmp_path):
     assert obj["first_failure"] == {"generator": 2, "degree": 3}
 
 
+def test_checkdreg_budget_exit3(capsys, tmp_path):
+    sys_file = tmp_path / "prod.sys"
+    sys_file.write_text(PROD_SYS)
+    code, out, err = run(capsys, "checkdreg", "--system", str(sys_file),
+                         "--budget", "50")
+    assert code == 3 and out == "" and "budget 50" in err
+
+
 def test_system_parse_error_exit2(capsys, tmp_path):
     sys_file = tmp_path / "bad.sys"
     sys_file.write_text("field: Q\ntarget: z\nthis is (not a poly\n")

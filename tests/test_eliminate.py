@@ -9,6 +9,7 @@ from dalg.eliminate import (Annihilator, NotFoundAtK, NotFoundUpTo,
                             find_annihilator, rational_system,
                             sum_product_system)
 from dalg.errors import BudgetExceededError, DalgError
+from dalg.linalg import budget_limit
 from dalg.series import series_arith, verify_annihilator, witness
 
 F = get_field("Q")
@@ -111,8 +112,8 @@ def test_quartic_pair_has_no_low_order_annihilator():
 
 
 def test_budget_is_enforced():
-    with pytest.raises(BudgetExceededError):
-        find_annihilator(_exp_exp_product(), "z", 1, 2, budget=10)
+    with budget_limit(10), pytest.raises(BudgetExceededError):
+        find_annihilator(_exp_exp_product(), "z", 1, 2)
 
 
 def test_input_validation():

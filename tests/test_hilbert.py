@@ -73,6 +73,21 @@ def test_regular_sequence_accepts_monomial_ci():
     assert rep.failure() is None
 
 
+def test_regular_sequence_exact_fallback_when_rows_vanish_mod_p():
+    # every row of the first generator vanishes mod 999983, so the mod-p
+    # rank falls short of the bound and only exact elimination can match
+    vars_ = [Y1, Y2, Y3]
+    plain = check_regular_sequence(
+        [parse_poly("y1^2", F), parse_poly("y2^3", F)], vars_, cutoff=8)
+    scaled = check_regular_sequence(
+        [parse_poly("999983*y1^2", F), parse_poly("y2^3", F)], vars_,
+        cutoff=8)
+    assert scaled.hf_values == plain.hf_values
+    assert ([p.verdicts for p in scaled.prefixes]
+            == [p.verdicts for p in plain.prefixes])
+    assert scaled.regular
+
+
 def test_regular_sequence_rejects_zerodivisor():
     gens = [parse_poly("y1", F), parse_poly("y1*y2", F)]
     rep = check_regular_sequence(gens, [Y1, Y2], cutoff=6)

@@ -8,10 +8,12 @@ from math import gcd
 
 import pytest
 
-from dalg import JetVar, get_field
+from dalg import JetVar, get_field, parse_poly, parse_system
+from dalg.eliminate import find_annihilator
 from dalg.errors import BudgetExceededError
-from dalg.linalg import (SparseEliminator, check_budget, degree_monomials,
-                         modp_rank, monomial_count)
+from dalg.hilbert import check_dregular, hf
+from dalg.linalg import (MOD_P, SparseEliminator, budget_limit, check_budget,
+                         degree_monomials, modp_rank, monomial_count)
 
 from oracles import dense_rank
 
@@ -116,18 +118,42 @@ def test_modp_rank_lower_bounds_exact_rank():
         assert modp_rank(rows, ncols) <= exact
         # for these tiny integer matrices the bound is almost surely tight
         assert modp_rank(rows, ncols) == exact
+    # rows that vanish mod p, alone or after reduction: the rank drops
+    for rows, ncols, exact, low in [
+            ([{0: MOD_P, 2: -3 * MOD_P}], 3, 1, 0),
+            ([{0: 1, 1: 2}, {0: 1, 1: 2 + MOD_P}], 2, 2, 1),
+            ([{0: 1}, {0: 1, 1: MOD_P}, {1: MOD_P**2, 2: MOD_P}], 3, 3, 1)]:
+        assert dense_rank(rows, ncols) == exact
+        assert modp_rank(rows, ncols) == low
 
 
 def test_budget_enforcement():
-    check_budget(10, 10, budget=100)
-    with pytest.raises(BudgetExceededError):
-        check_budget(11, 10, budget=100)
+    with budget_limit(100):
+        check_budget(10, 10)
+        with pytest.raises(BudgetExceededError):
+            check_budget(11, 10)
     err = None
     try:
-        check_budget(1000, 1000, budget=5)
+        with budget_limit(5):
+            check_budget(1000, 1000)
     except BudgetExceededError as e:
         err = e
     assert err.rows == 1000 and err.cols == 1000 and err.budget == 5
+
+
+_PROD_SYS = "field: Q\ntarget: z\ny1' - y1\ny2' - y2\nz - y1*y2\n"
+
+
+@pytest.mark.parametrize("layer", [
+    lambda: find_annihilator(parse_system(_PROD_SYS), "z", 1, 2),
+    lambda: hf([parse_poly("y1^2", get_field("Q"))],
+               [JetVar.y(1), JetVar.y(2)], 4),
+    lambda: check_dregular(parse_system(_PROD_SYS), 0, cutoff=4),
+], ids=["find_annihilator", "hf", "check_dregular"])
+def test_budget_bounds_every_layer_path(layer):
+    layer()
+    with budget_limit(10), pytest.raises(BudgetExceededError):
+        layer()
 
 
 def test_budget_env_override(monkeypatch):
