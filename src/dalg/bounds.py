@@ -5,9 +5,9 @@ The main bound states that an annihilator of order r and degree k exists
 as soon as k > (r+1) * (d^(1+(r_min-r_l)/(r-r_min+1)) - 1).  The
 underlying counting inequality C(r+1+k, r+1) > d^(r-r_l+1) * C(r_min+k, k)
 is usually satisfied earlier; sufficiency_k finds its exact onset by
-integer scan.  Non-integral exponents are handled without floating-point
+bisection.  Non-integral exponents are handled without floating-point
 rounding: k > (r+1)*(d^(p/q)-1) holds iff (k+r+1)^q > d^p * (r+1)^q,
-an exact integer comparison.
+so k_min comes from an exact integer q-th root.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
+
+from sympy import integer_nthroot
 
 from .errors import DalgError, HypothesisError
 from .linalg import SparseEliminator
@@ -49,15 +51,6 @@ class ThresholdBound:
         return f"{self.threshold_float:.6g}"
 
 
-def _strictly_above(threshold_pred, k_start=1):
-    k = max(1, k_start)
-    while not threshold_pred(k):
-        k += 1
-    while k > 1 and threshold_pred(k - 1):
-        k -= 1
-    return k
-
-
 def theorem_bound(d, r_min, r_l, r):
     """Smallest integer k strictly above (r+1)*(d^(1+(r_min-r_l)/(r-r_min+1))-1)."""
     _validate(d, r_min, r_l, r)
@@ -70,25 +63,35 @@ def theorem_bound(d, r_min, r_l, r):
         return ThresholdBound(k_min=int(t) + 1, exact=True,
                               threshold_fraction=t, threshold_float=float(t))
     tf = (r + 1) * (d ** (p / q) - 1)
-    dp = d ** p
-    rq = (r + 1) ** q
-
-    def above(k):
-        return (k + r + 1) ** q > dp * rq
-
-    k_min = _strictly_above(above, int(tf) - 2)
-    return ThresholdBound(k_min=k_min, exact=False,
+    # k + r + 1 > (d^p (r+1)^q)^(1/q) iff k + r + 1 > floor of that root
+    root = integer_nthroot(d ** p * (r + 1) ** q, q)[0]
+    return ThresholdBound(k_min=max(1, root - r), exact=False,
                           threshold_fraction=None, threshold_float=tf)
 
 
 def sufficiency_k(d, r_min, r_l, r):
-    """Exact onset of the counting inequality behind the main bound."""
+    """Exact onset of the counting inequality behind the main bound.
+
+    C(r+1+k, r+1) / C(r_min+k, k) rises strictly in k (consecutive values
+    have ratio (r+2+k)/(r_min+1+k) > 1), so the inequality holds from its
+    onset on: gallop to a k where it holds, then bisect.
+    """
     _validate(d, r_min, r_l, r)
     dpow = d ** (r - r_l + 1)
-    k = 1
-    while comb(r + 1 + k, r + 1) <= dpow * comb(r_min + k, k):
-        k += 1
-    return k
+
+    def holds(k):
+        return comb(r + 1 + k, r + 1) > dpow * comb(r_min + k, k)
+
+    lo, hi = 0, 1
+    while not holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def plus_times_bound(degQ, d, r_min, r):

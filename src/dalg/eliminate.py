@@ -117,24 +117,20 @@ def find_annihilator(system: SystemSpec, l, r, k):
     ridx = elim.pivot_of_col[best]
 
     entries = elim.rows[ridx]
-    if layers.int_mode:
-        row_poly = DPoly(field, {columns[c]: field.q(val)
-                                 for c, val in entries.items()}, _raw=True)
-        replay_gens = [DPoly(field, {mo: field.q(c) for mo, c in terms},
-                             _raw=True) for terms in layers.terms]
-    else:
-        row_poly = DPoly(field, {columns[c]: val for c, val in entries.items()})
-        replay_gens = h_gens
     if any(c < target_start for c in entries):
         raise DalgError("internal error: reduced row leaks non-target columns")
+    R, F = elim.ring, elim.domain
+    row_poly = DPoly(field, {columns[c]: F.convert_from(v, R)
+                             for c, v in entries.items()}, _raw=True)
 
+    # the certificate is replayed against the generators themselves, not
+    # their cleared rows, so a clearing fault cannot certify itself
     combo = DPoly.zero(field)
     for tag, coeff in elim.trail_of(ridx).items():
         gi, mu = labels[tag]
-        g = replay_gens[gi]
         piece = DPoly(field, {mono_mul(mu, mo): c
-                              for mo, c in g.terms.items()}, _raw=True)
-        combo = combo + piece * coeff
+                              for mo, c in h_gens[gi].terms.items()}, _raw=True)
+        combo = combo + piece * (coeff * layers.dens[gi])
     certified = combo == row_poly
     if not certified:
         raise DalgError("internal error: membership certificate failed to replay")

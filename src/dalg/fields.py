@@ -254,12 +254,6 @@ class Field:
             raise HypothesisError("denominator vanishes at the expansion point")
         return self.domain.field.new(subst(c.numer), den)
 
-    # -- fast-path extraction ------------------------------------------
-
-    def plain_rational_parts(self, c):
-        """(numerator, denominator) integers for kind Q without x/params."""
-        return int(c.numerator), int(c.denominator)
-
     # -- printing -------------------------------------------------------
 
     def _gauss_str(self, g):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .dpoly import DPoly, JetVar, mono_deg, mono_mul, mono_sort_key, var_key
+from .dpoly import DPoly, JetVar, mono_mul, var_key
 from .errors import DalgError, WindowError
 from .linalg import MacaulayLayers, modp_rank, monomial_count
 from .system import prolong

@@ -1,22 +1,27 @@
 """Macaulay layers, exact sparse row reduction and a sparse mod-p rank.
 
 MacaulayLayers is the one builder of Macaulay layers: it orders the
-columns, makes the rows monomial * generator (integer-cleared over plain
-Q) and checks the work budget before any row of a layer is built.
+columns, makes the rows monomial * generator and checks the work budget
+before any row of a layer is built.  Each generator is cleared of
+denominators once, into the ring R of its field (ring_of): ints over
+plain Q, Gaussian integers over Q(i), and polynomials over those in the
+parameters and x otherwise.
 
 Rows live over a fixed ordered column set.  The eliminator keeps rows in
 row-echelon form with the deterministic pivot rule "first nonzero entry
-under the column order".  Over plain Q the arithmetic is fraction-free
-(integer cross-multiplication with content stripping); over other fields
-it divides by the pivot.
+under the column order".  There is one reduction, fraction-free over R
+for every field: cross-multiplication by the pivots over their gcd, with
+the content stripped when a row is stored.  Entries never leave R, so no
+operation needs a gcd of fractions.
 
 With tracking on, each stored row keeps a recipe instead of a trail: the
 pivot rows it was reduced by with their multipliers, the tag of the row
 fed in, that row's multiplier and the final divisor, all folded from the
-reduction steps with plain integers (field elements over other fields).
-Recording a recipe costs no more than the elimination it records.
-trail_of() expands the recipes on demand into an exact combination of
-the rows fed in, which callers replay as membership certificates.
+reduction steps in R.  Recording a recipe costs no more than the
+elimination it records.  trail_of() expands the recipes on demand into
+an exact combination, over the field, of the rows fed in.  Callers
+replay it as a membership certificate against the generators
+themselves, so a fault in clearing fails the certificate too.
 
 modp_rank reduces the same sparse integer rows over F_p with plain
 integer arithmetic.  A mod-p rank never exceeds the rational rank, so a
@@ -28,10 +33,10 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from fractions import Fraction
 from heapq import heappop, heappush
-from math import comb, gcd, lcm
-from operator import not_
+from math import comb
+
+from sympy.polys.domains import QQ
 
 from .dpoly import mono_mul
 from .errors import BudgetExceededError
@@ -117,44 +122,57 @@ def monomial_count(v, k):
 def plain_q(field):
     """True when coefficients are plain rationals (no field means Q).
 
-    Layers over plain Q are reduced fraction-free with integer rows; every
-    other field is reduced with its own division.
+    Layers over plain Q have integer rows, which modp_rank also reads.
     """
     return field is None or (field.desc.kind == "Q" and not field.desc.params
                              and not field.desc.has_x)
 
 
-def int_rows_data(field, gens):
-    """Per generator: terms as (monomial, int) with cleared denominators."""
-    out = []
-    for g in gens:
-        pairs = []
-        den = 1
-        for m, c in g.terms.items():
-            n, d = field.plain_rational_parts(c)
-            pairs.append((m, n, d))
-            den = lcm(den, d)
-        out.append([(m, n * (den // d)) for m, n, d in pairs])
-    return out
+def ring_of(field):
+    """(R, F): the ring whose elements rows hold, and the field over it.
+
+    F is the field's sympy domain (QQ when there is no field).  R is ZZ
+    for Q, ZZ_I for Q(i), and with parameters or x the polynomial ring
+    in those names over ZZ or ZZ_I.  (F.get_ring() would have a field as
+    its ground, whose gcd and lcm of constants are 1.)
+    """
+    F = QQ if field is None else field.domain
+    if F.is_FractionField:
+        return F.domain.get_ring().poly_ring(*F.symbols), F
+    return F.get_ring(), F
+
+
+def clear_denominators(R, F, terms):
+    """(cleared terms over R, den in F) with cleared = den * terms."""
+    K = R.get_field()
+    parts = [(m, K.convert_from(c, F)) for m, c in terms]
+    den = R.one
+    for _, c in parts:
+        den = R.lcm(den, K.denom(c))
+    return ([(m, K.numer(c) * (den // K.denom(c))) for m, c in parts],
+            F.convert_from(den, R))
 
 
 class SparseEliminator:
-    """Incremental row echelon form over Q (integer rows) or a Field.
+    """Incremental row echelon form over the ring of a field.
 
-    With track=True, trails[i] is the recipe (coeffs, tag, scale, divisor)
-    of stored row i: row_i = (scale*input - sum_p coeffs[p]*row_p) / divisor,
+    Rows hold elements of R = ring_of(field)[0] (ints over plain Q) and
+    are reduced fraction-free: a step cross-multiplies by the pivots
+    divided by their gcd, and a stored row is divided by the gcd of its
+    entries and given a canonical leading unit.  With track=True,
+    trails[i] is the recipe (coeffs, tag, scale, divisor) of stored row
+    i, all in R: row_i = (scale*input - sum_p coeffs[p]*row_p) / divisor,
     where input is the row fed in under tag and every p < i.
     """
 
     def __init__(self, ncols, field=None, track=False):
         self.ncols = ncols
-        self.field = field
         self.int_mode = plain_q(field)
+        self.ring, self.domain = ring_of(field)
         self.track = track
         self.rows = []
         self.trails = []
         self.pivot_of_col = {}
-        self.pivot_col_of_row = []
 
     @property
     def rank(self):
@@ -163,32 +181,30 @@ class SparseEliminator:
     def _store(self, row, c, recipe):
         self.pivot_of_col[c] = len(self.rows)
         self.rows.append(row)
-        self.pivot_col_of_row.append(c)
         self.trails.append(recipe)
         return c
 
-    # -- integer rows ---------------------------------------------------
-
-    def _add_int(self, row, tag, steps):
+    def _add(self, row, tag, steps):
+        R = self.ring
+        gcd, one, zero = R.gcd, R.one, R.zero
         while row:
             c = min(row)
             p = self.pivot_of_col.get(c)
             if p is None:
-                g = 0
+                g = zero
                 for v in row.values():
                     g = gcd(g, v)
-                    if g == 1:
+                    if g == one:
                         break
-                if row[c] < 0:
-                    g = -g
-                if g != 1:
+                g = g // R.canonical_unit(row[c] // g)
+                if g != one:
                     row = {cc: v // g for cc, v in row.items()}
                 recipe = None
                 if steps is not None:
                     # fold the steps: each one scaled the running row by
                     # ma, so a step's mb picks up every later ma
                     coeffs = {}
-                    scale = 1
+                    scale = one
                     for q, ma, mb in reversed(steps):
                         coeffs[q] = mb * scale
                         scale *= ma
@@ -198,9 +214,9 @@ class SparseEliminator:
             a, b = prow[c], row[c]
             g = gcd(a, b)
             ma, mb = a // g, b // g
-            new = dict(row) if ma == 1 else {cc: v * ma for cc, v in row.items()}
+            new = dict(row) if ma == one else {cc: v * ma for cc, v in row.items()}
             for cc, v in prow.items():
-                w = new.get(cc, 0) - v * mb
+                w = new.get(cc, zero) - v * mb
                 if w:
                     new[cc] = w
                 else:
@@ -210,49 +226,15 @@ class SparseEliminator:
                 steps.append((p, ma, mb))
         return None
 
-    # -- field rows -------------------------------------------------------
-
-    def _add_field(self, row, tag, steps):
-        f = self.field
-        while row:
-            c = min(row)
-            p = self.pivot_of_col.get(c)
-            if p is None:
-                piv = row[c]
-                inv = f.one / piv
-                row = {cc: v * inv for cc, v in row.items()}
-                recipe = None if steps is None else (dict(steps), tag, f.one, piv)
-                return self._store(row, c, recipe)
-            prow = self.rows[p]
-            factor = row[c]
-            new = dict(row)
-            for cc, v in prow.items():
-                w = new.get(cc, f.zero) - v * factor
-                if f.is_zero(w):
-                    new.pop(cc, None)
-                else:
-                    new[cc] = w
-            row = new
-            if steps is not None:
-                steps.append((p, factor))
-        return None
-
     def add_row(self, row, tag=None):
         """Reduce a row and store it if independent; returns its pivot column.
 
-        Integer mode expects integer entries; field mode expects Coeff.
-        When tracking, the reduction steps are kept as the row's recipe.
+        Entries are elements of the ring (ints over plain Q).  When
+        tracking, the reduction steps are kept as the row's recipe.
         """
         if not row:
             return None
-        steps = [] if self.track else None
-        if self.int_mode:
-            return self._add_int(dict(row), tag, steps)
-        return self._add_field(dict(row), tag, steps)
-
-    def row_fractions(self, i):
-        """Entries of stored row i over Q as {col: Fraction} (integer mode)."""
-        return {c: Fraction(v) for c, v in self.rows[i].items()}
+        return self._add(dict(row), tag, [] if self.track else None)
 
     def trail_of(self, i):
         """Stored row i as a combination {tag: coefficient} of the input rows.
@@ -260,34 +242,34 @@ class SparseEliminator:
         Expands the recipes on demand: rows are visited in descending
         index order, so a row's weight is final before its recipe hands
         weight down to the earlier rows it was reduced by.  Coefficients
-        are Fractions in integer mode and field elements otherwise; tags
-        whose coefficients cancel are left out.
+        are elements of the field (QQ over plain Q); tags whose
+        coefficients cancel are left out.
         """
         if self.trails[i] is None:
             return None
-        if self.int_mode:
-            one, zero, is_zero = Fraction(1), Fraction(0), not_
-        else:
-            f = self.field
-            one, zero, is_zero = f.one, f.zero, f.is_zero
-        weight = {i: one}
+        R, F = self.ring, self.domain
+
+        def conv(v):
+            return F.convert_from(v, R)
+
+        weight = {i: F.one}
         heap = [-i]
         out = {}
         while heap:
             j = -heappop(heap)
             w = weight.pop(j)
-            if is_zero(w):
+            if not w:
                 continue
             coeffs, tag, scale, divisor = self.trails[j]
-            w = w / divisor
-            out[tag] = out.get(tag, zero) + w * scale
+            w = w / conv(divisor)
+            out[tag] = out.get(tag, F.zero) + w * conv(scale)
             for p, b in coeffs.items():
                 if p in weight:
-                    weight[p] -= w * b
+                    weight[p] -= w * conv(b)
                 else:
-                    weight[p] = -(w * b)
+                    weight[p] = -(w * conv(b))
                     heappush(heap, -p)
-        return {t: v for t, v in out.items() if not is_zero(v)}
+        return {t: v for t, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +282,10 @@ class MacaulayLayers:
     monomial mu of degree k - deg g.  Its columns are the degree-k
     monomials in descending grevlex order; with last, a set of variable
     keys, the monomials whose variables all lie in last move to the end
-    in the same order.  Over plain Q the generators' terms are cleared to
-    integers once, so rows feed the fraction-free eliminator and
-    modp_rank alike.
+    in the same order.  Each generator's terms are cleared to the ring
+    once: terms[gi] is dens[gi] * gens[gi], with terms in R and dens in
+    F (see ring_of).  Over plain Q the rows are integer rows, which
+    modp_rank reads as well.
     """
 
     def __init__(self, field, gens, varkeys, last=None):
@@ -311,8 +294,12 @@ class MacaulayLayers:
         self.last = last
         self.degs = [g.total_degree() for g in gens]
         self.int_mode = plain_q(field)
-        self.terms = (int_rows_data(field, gens) if self.int_mode
-                      else [list(g.terms.items()) for g in gens])
+        R, F = ring_of(field)
+        self.terms, self.dens = [], []
+        for g in gens:
+            terms, den = clear_denominators(R, F, g.terms.items())
+            self.terms.append(terms)
+            self.dens.append(den)
         self._cols = {}
 
     def columns(self, k):

@@ -13,9 +13,13 @@ import sympy
 from dalg import DPoly, JetVar
 
 
-def dense_rank(rows, ncols):
-    """Row rank by plain Gaussian elimination over Fraction."""
-    mat = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
+def dense_rank(rows, ncols, zero=Fraction(0)):
+    """Row rank by plain Gaussian elimination, dividing by each pivot.
+
+    Entries are taken over Fraction, or over the field whose zero is
+    given (sympy field elements of dalg.Field).
+    """
+    mat = [[zero + r.get(j, zero) for j in range(ncols)] for r in rows]
     rank = 0
     col = 0
     nrows = len(mat)

@@ -1,6 +1,8 @@
 """Closed-form degree bounds, the order/degree curve, and the seeded
 random-relation experiment."""
 
+from math import comb
+
 import pytest
 
 from dalg.bounds import (composition_bound, curve, curve_to_csv, div_bound,
@@ -48,6 +50,53 @@ def test_fractional_exponent_is_integer_exact():
                     assert (k + r + 1) ** q > d ** p * (r + 1) ** q
                     if k > 1:
                         assert (k - 1 + r + 1) ** q <= d ** p * (r + 1) ** q
+
+
+def _counting(d, r_min, r_l, r):
+    dpow = d ** (r - r_l + 1)
+    return lambda k: comb(r + 1 + k, r + 1) > dpow * comb(r_min + k, k)
+
+
+def _above_threshold(d, r_min, r_l, r):
+    p, q = r - r_l + 1, r - r_min + 1
+    return lambda k: (k + r + 1) ** q > d ** p * (r + 1) ** q
+
+
+def _is_onset(holds, k):
+    return holds(k) and (k == 1 or not holds(k - 1))
+
+
+def test_onsets_match_naive_scan_on_grid():
+    # the scan steps k = 1, 2, ... up to a cap; an onset past the cap is
+    # checked at k and k - 1 instead (both predicates are monotone in k)
+    cap = 3000
+    points = 0
+    for d in range(1, 7):
+        for r_min in range(0, 9):
+            for r_l in range(0, r_min + 1):
+                for r in range(r_min, r_min + 9):
+                    points += 1
+                    for holds, k in (
+                            (_counting(d, r_min, r_l, r),
+                             sufficiency_k(d, r_min, r_l, r)),
+                            (_above_threshold(d, r_min, r_l, r),
+                             theorem_bound(d, r_min, r_l, r).k_min)):
+                        scan = next((j for j in range(1, cap + 1) if holds(j)),
+                                    None)
+                        if scan is None:
+                            assert k > cap and _is_onset(holds, k)
+                        else:
+                            assert k == scan
+    assert points == 2430
+
+
+def test_large_onsets_are_exact():
+    k = sufficiency_k(10, 20, 0, 21)
+    assert k == 2149418525999
+    assert _is_onset(_counting(10, 20, 0, 21), k)
+    tb = theorem_bound(10, 61, 0, 63)
+    assert not tb.exact and tb.k_min == 137883820162040558192531
+    assert _is_onset(_above_threshold(10, 61, 0, 63), tb.k_min)
 
 
 def test_plus_times_and_div_reduce_to_main_bound():

@@ -98,6 +98,23 @@ def test_gaussian_parameter_system():
     fams = set(ann.poly.orders())
     assert fams == {(1, 2)}
     assert ann.membership_certified
+    assert str(ann.poly) == (
+        "4*y2'*y2''^2 - 8*c*y2'^2*y2'' + 4*c^2*y2'^3 - 4*c*y2*y2''^2"
+        " + 8*c^2*y2*y2'*y2'' - 4*c^3*y2*y2'^2 + 4*i*c*y2'^2"
+        " - 8*i*c^2*y2*y2' + 4*i*c^3*y2^2 + y2' - c*y2")
+
+
+def test_parameter_sum_keeps_rational_coefficients():
+    # 1/2 and 2/3 must survive clearing into Z[a]: a clearing that loses
+    # a denominator changes the annihilator and fails its certificate
+    field = get_field("Q", params=("a",))
+    comps = [(_parse("y1' - 1/2*a*y1", field), 1),
+             (_parse("y2' - 2/3*y2", field), 1)]
+    system = sum_product_system(comps, _parse("y1 + y2", field))
+    ann = eliminate_search(system, "z", 2, 4)
+    assert isinstance(ann, Annihilator)
+    assert ann.membership_certified
+    assert str(ann.poly) == "6*z'' - 3*a*z' - 4*z' + 2*a*z"
 
 
 def test_quartic_pair_has_no_low_order_annihilator():

@@ -29,7 +29,6 @@ def test_rational_constructor_and_parts():
     c = f.q(3, 4)
     assert f.is_rational(c)
     assert f.as_fraction(c) == Fraction(3, 4)
-    assert f.plain_rational_parts(f.q(-6, 8)) == (-3, 4)
     assert f.is_zero(f.q(0))
 
 

@@ -8,14 +8,15 @@ from math import gcd
 
 import pytest
 
-from dalg import JetVar, get_field, parse_poly, parse_system
+from dalg import JetVar, field_from_label, get_field, parse_poly, parse_system
 from dalg.eliminate import find_annihilator
 from dalg.errors import BudgetExceededError
 from dalg.hilbert import check_dregular, hf
 from dalg.linalg import (MOD_P, SparseEliminator, budget_limit, check_budget,
-                         degree_monomials, modp_rank, monomial_count)
+                         clear_denominators, degree_monomials, modp_rank,
+                         monomial_count, ring_of)
 
-from oracles import dense_rank
+from oracles import dense_rank, rand_coeff
 
 
 def _random_rows(rng, nrows, ncols, density=0.4, frac=False):
@@ -77,35 +78,44 @@ def test_rank_with_planted_dependencies():
         assert elim.rank == dense_rank(rows, ncols)
 
 
-@pytest.mark.parametrize("mode", ["int", "Qi"])
-def test_trail_replays_each_reduced_row(mode):
+@pytest.mark.parametrize("label, size", [
+    ("int", 14), ("Qi", 14), ("Qi(c;)", 8), ("Q(a;x)", 8)],
+    ids=["int", "Qi", "Qi(c;)", "Q(a;x)"])
+def test_trail_replays_each_reduced_row(label, size):
+    # rows over a field are cleared to its ring before they are fed in;
     # appended combinations reduce to zero or to long chains of earlier
-    # pivot rows, so recipes reach deep before they are expanded
-    field = None if mode == "int" else get_field("Qi")
+    # pivot rows, so recipes reach deep before they are expanded.  The
+    # dense oracle over parameter fields is slow, hence smaller layers.
+    field = None if label == "int" else field_from_label(label)
+    R, F = ring_of(field)
     rng = random.Random(24)
     dependent = 0
     for _ in range(30):
-        ncols = rng.randint(2, 12)
-        rows = _random_rows(rng, rng.randint(1, 14), ncols)
-        if field is not None:
-            unit = field.i()
-            rows = [{j: field.q(v) + field.q(rng.randint(-2, 2)) * unit
-                     for j, v in r.items()} for r in rows]
-        rows = _with_combinations(rng, rows, rng.randint(0, 6))
-        zero = Fraction(0) if field is None else field.zero
+        ncols = rng.randint(2, size - 2)
+        nrows = rng.randint(1, size)
+        if field is None:
+            rows = _random_rows(rng, nrows, ncols)
+        else:
+            rows = [{j: c for j in range(ncols) if rng.random() < 0.4
+                     for c in [rand_coeff(rng, field)] if c}
+                    for _ in range(nrows)]
+        rows = _with_combinations(rng, rows, rng.randint(0, size // 2 - 1))
+        fed = rows if field is None else [
+            dict(clear_denominators(R, F, r.items())[0]) for r in rows]
         elim = SparseEliminator(ncols, field=field, track=True)
-        for t, r in enumerate(rows):
-            elim.add_row(dict(r), tag=t)
+        for t, r in enumerate(fed):
+            elim.add_row(r, tag=t)
+        zero = Fraction(0) if field is None else field.zero
+        assert elim.rank == dense_rank(rows, ncols, zero)
         dependent += len(rows) - elim.rank
-        for i in range(len(elim.rows)):
-            stored = (elim.row_fractions(i) if field is None
-                      else elim.rows[i])
+        for i, stored in enumerate(elim.rows):
             replay = {}
             for tag, coeff in elim.trail_of(i).items():
-                for j, v in rows[tag].items():
-                    replay[j] = replay.get(j, zero) + coeff * v
-            replay = {j: v for j, v in replay.items() if v != zero}
-            assert replay == stored
+                for j, v in fed[tag].items():
+                    replay[j] = (replay.get(j, F.zero)
+                                 + coeff * F.convert_from(v, R))
+            replay = {j: v for j, v in replay.items() if v}
+            assert replay == {j: F.convert_from(v, R) for j, v in stored.items()}
     assert dependent
 
 
