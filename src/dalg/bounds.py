@@ -7,15 +7,17 @@ underlying counting inequality C(r+1+k, r+1) > d^(r-r_l+1) * C(r_min+k, k)
 is usually satisfied earlier; sufficiency_k finds its exact onset by
 bisection.  Non-integral exponents are handled without floating-point
 rounding: k > (r+1)*(d^(p/q)-1) holds iff (k+r+1)^q > d^p * (r+1)^q,
-so k_min comes from an exact integer q-th root.
+so k_min comes from an exact integer q-th root; so does the printed
+threshold, rounded from floor(threshold * 10^s).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
 from sympy import integer_nthroot
 
@@ -34,21 +36,41 @@ def _validate(d, r_min, r_l, r):
 
 @dataclass
 class ThresholdBound:
+    """k_min is the smallest integer strictly above the threshold T.  With
+    an integer exponent T is exact and is threshold_fraction; display
+    prints it, or else T rounded exactly as "%.6g" would print it."""
+
     k_min: int
     exact: bool
     threshold_fraction: Fraction | None
-    threshold_float: float
+    display: str
 
-    @property
-    def threshold(self):
-        return self.threshold_fraction if self.exact else self.threshold_float
 
-    @property
-    def display(self):
-        if self.exact:
-            t = self.threshold_fraction
-            return str(t.numerator) if t.denominator == 1 else str(t)
-        return f"{self.threshold_float:.6g}"
+def _display_6g(d, p, q, r):
+    """T = (r+1)*(d^(p/q) - 1) as "%.6g" prints it, rounded exactly.
+
+    With a = (r+1)*10^s, floor(T*10^s) = iroot(d^p * a^q, q) - a; s grows
+    until that floor has seven digits.  Unless the root is exact, T*10^s
+    lies strictly inside the next unit, so its midpoint rounds the same
+    way and is never a tie.
+    """
+    s = 0
+    while True:
+        a = (r + 1) * 10 ** s
+        root, exact = integer_nthroot(d ** p * a ** q, q)
+        n = root - a
+        if n == 0:
+            return "0"
+        if n >= 10 ** 6:
+            break
+        s += 1
+    digits = len(str(n)) - 6
+    v = Decimal(round(Fraction(2 * n + (not exact), 2 * 10 ** digits)))
+    v = v.scaleb(digits - s)
+    e = v.adjusted()
+    if e < 6:
+        return format(v.normalize(), "f")
+    return f"{format(v.scaleb(-e).normalize(), 'f')}e+{e:02d}"
 
 
 def theorem_bound(d, r_min, r_l, r):
@@ -61,26 +83,28 @@ def theorem_bound(d, r_min, r_l, r):
     if q == 1:
         t = Fraction((r + 1) * (d ** p - 1))
         return ThresholdBound(k_min=int(t) + 1, exact=True,
-                              threshold_fraction=t, threshold_float=float(t))
-    tf = (r + 1) * (d ** (p / q) - 1)
+                              threshold_fraction=t, display=str(t))
     # k + r + 1 > (d^p (r+1)^q)^(1/q) iff k + r + 1 > floor of that root
     root = integer_nthroot(d ** p * (r + 1) ** q, q)[0]
     return ThresholdBound(k_min=max(1, root - r), exact=False,
-                          threshold_fraction=None, threshold_float=tf)
+                          threshold_fraction=None,
+                          display=_display_6g(d, p, q, r))
 
 
 def sufficiency_k(d, r_min, r_l, r):
     """Exact onset of the counting inequality behind the main bound.
 
-    C(r+1+k, r+1) / C(r_min+k, k) rises strictly in k (consecutive values
-    have ratio (r+2+k)/(r_min+1+k) > 1), so the inequality holds from its
-    onset on: gallop to a k where it holds, then bisect.
+    C(r+1+k, r+1) / C(r_min+k, k) = prod (k+j) / prod j over j = r_min+1
+    .. r+1, so the inequality reads prod (k+j) > d^(r-r_l+1) * prod j:
+    r - r_min + 1 factors, not two binomials in k.  The left side rises
+    strictly in k, so gallop to a k where it holds, then bisect.
     """
     _validate(d, r_min, r_l, r)
-    dpow = d ** (r - r_l + 1)
+    js = range(r_min + 1, r + 2)
+    rhs = d ** (r - r_l + 1) * prod(js)
 
     def holds(k):
-        return comb(r + 1 + k, r + 1) > dpow * comb(r_min + k, k)
+        return prod(k + j for j in js) > rhs
 
     lo, hi = 0, 1
     while not holds(hi):

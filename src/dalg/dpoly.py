@@ -15,6 +15,12 @@ else the usual way.
 
 Monomials are ordered by graded reverse lexicographic order with respect
 to the variable order s < y1 < y1' < ... < y2 < ... < z < z' < ...
+
+normalize() gives the normal form of a polynomial up to scalars: its
+coefficients, cleared into the ring of the field (fields.ring_of), are
+primitive there, and the leading one is positive, or in re > 0, im >= 0
+over Q(i); over parameter fields that holds for the leading
+coefficient's own leading coefficient.
 """
 
 from __future__ import annotations
@@ -22,10 +28,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import DalgError, FieldError
-from .fields import Field
+from .fields import Field, clear_denominators, primitive_divisor, ring_of
 
 _FAM_CODES = {"s": 0, "y": 1, "z": 2}
 _FAM_NAMES = {0: "s", 1: "y", 2: "z"}
@@ -151,11 +156,8 @@ class DPoly:
         if _raw:
             self.terms = terms
         else:
-            clean = {}
-            for m, c in (terms or {}).items():
-                if not field.is_zero(c):
-                    clean[m] = c
-            self.terms = clean
+            self.terms = {m: c for m, c in (terms or {}).items()
+                          if not field.is_zero(c)}
 
     # -- constructors ---------------------------------------------------
 
@@ -306,10 +308,9 @@ class DPoly:
         while e:
             if e & 1:
                 out = out * base
-            base_needed = e >> 1
-            if base_needed:
+            e >>= 1
+            if e:
                 base = base * base
-            e = base_needed
         return out
 
     def scale(self, c):
@@ -419,14 +420,16 @@ class DPoly:
     # -- normal form -----------------------------------------------------------
 
     def normalize(self):
-        """Content-free, sign-normalized scalar multiple of self."""
+        """The normal form of self up to scalars (see the module docstring)."""
         if not self.terms:
             return self
         f = self.field
+        R, F = ring_of(f)
         monos = sorted(self.terms, key=mono_sort_key, reverse=True)
-        coeffs = [self.terms[m] for m in monos]
-        scaled = _normalize_coeffs(f, coeffs)
-        return DPoly(f, dict(zip(monos, scaled)), _raw=True)
+        cleared, _ = clear_denominators(R, F, [(m, self.terms[m]) for m in monos])
+        g = primitive_divisor(R, [c for _, c in cleared], cleared[0][1])
+        return DPoly(f, {m: F.convert_from(c // g, R) for m, c in cleared},
+                     _raw=True)
 
     # -- printing -----------------------------------------------------------
 
@@ -465,126 +468,3 @@ def _as_coeff(field, val):
     if _is_coeff(field, val):
         return val
     raise FieldError(f"cannot interpret {val!r} as a coefficient")
-
-
-# ---------------------------------------------------------------------------
-# content normalization helpers
-
-def _gauss_round_div(a, b):
-    """Nearest-integer quotient of Gaussian integers a/b."""
-    ar, ai = a
-    br, bi = b
-    n = br * br + bi * bi
-    qr = ar * br + ai * bi
-    qi = ai * br - ar * bi
-    rr = (2 * qr + n) // (2 * n)
-    ri = (2 * qi + n) // (2 * n)
-    return rr, ri
-
-
-def _gauss_sub_mul(a, b, q):
-    ar, ai = a
-    br, bi = b
-    qr, qi = q
-    return ar - (br * qr - bi * qi), ai - (br * qi + bi * qr)
-
-
-def gauss_int_gcd(a, b):
-    while b != (0, 0):
-        q = _gauss_round_div(a, b)
-        a, b = b, _gauss_sub_mul(a, b, q)
-    return a
-
-
-def _normalize_coeffs(field, coeffs):
-    """Scale a coefficient list to content 1 with a normalized leading sign.
-
-    The first entry is treated as the leading coefficient.  The output is
-    invariant under multiplying the whole input list by a nonzero scalar.
-    """
-    base_is_gauss = field.desc.kind == "Qi"
-    if field._names:
-        # Clear polynomial denominators and strip the polynomial content,
-        # then normalize the remaining rational (or Gaussian) content.
-        L = coeffs[0].denom
-        for c in coeffs[1:]:
-            d = c.denom
-            L = L * d.quo(L.gcd(d))
-        nums = [c.numer * L.quo(c.denom) for c in coeffs]
-        G = nums[0]
-        for n in nums[1:]:
-            G = G.gcd(n)
-        nums = [n.quo(G) for n in nums]
-        flat = [cf for n in nums for _, cf in sorted(n.terms())]
-        lead_base = nums[0].LC
-        rebuild = [field.domain.field.new(n, field.domain.field.ring.one) for n in nums]
-    else:
-        flat = list(coeffs)
-        lead_base = coeffs[0]
-        rebuild = list(coeffs)
-
-    if base_is_gauss:
-        den_lcm = 1
-        for cf in flat:
-            for part in (cf.x, cf.y):
-                d = int(part.denominator)
-                den_lcm = den_lcm * d // gcd(den_lcm, d)
-        ints = [
-            (int(cf.x.numerator) * den_lcm // int(cf.x.denominator),
-             int(cf.y.numerator) * den_lcm // int(cf.y.denominator))
-            for cf in flat
-        ]
-        g = (0, 0)
-        for gi in ints:
-            g = gauss_int_gcd(g, gi)
-            if g in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                break
-        if g == (0, 0):
-            g = (1, 0)
-        lead = (int(lead_base.x.numerator) * den_lcm // int(lead_base.x.denominator),
-                int(lead_base.y.numerator) * den_lcm // int(lead_base.y.denominator))
-        unit = _gauss_quadrant_unit(_gauss_div_exact(lead, g))
-        gr, gi_ = g
-        conj = field.q(gr) - field.q(gi_) * field.i()
-        scale = field.q(den_lcm) * conj * _gauss_unit_coeff(field, unit)
-        scale = scale / field.q(gr * gr + gi_ * gi_)
-    else:
-        den_lcm = 1
-        num_gcd = 0
-        for cf in flat:
-            d = int(cf.denominator)
-            den_lcm = den_lcm * d // gcd(den_lcm, d)
-            num_gcd = gcd(num_gcd, int(cf.numerator))
-        if num_gcd == 0:
-            num_gcd = 1
-        lead_sign = -1 if lead_base < 0 else 1
-        scale = field.from_fraction(Fraction(lead_sign * den_lcm, num_gcd))
-
-    return [c * scale for c in rebuild]
-
-
-def _gauss_quadrant_unit(g):
-    """Unit u with u*g in the half plane re > 0, or re == 0 and im > 0."""
-    units = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    for u in units:
-        r = (g[0] * u[0] - g[1] * u[1], g[0] * u[1] + g[1] * u[0])
-        if r[0] > 0 or (r[0] == 0 and r[1] > 0):
-            return u
-    return (1, 0)
-
-
-def _gauss_unit_coeff(field, u):
-    c = field.q(u[0])
-    if u[1]:
-        c = c + field.q(u[1]) * field.i()
-    return c
-
-
-def _gauss_div_exact(a, b):
-    br, bi = b
-    n = br * br + bi * bi
-    qr = a[0] * br + a[1] * bi
-    qi = a[1] * br - a[0] * bi
-    if qr % n or qi % n:
-        raise DalgError("inexact Gaussian division")
-    return qr // n, qi // n

@@ -14,6 +14,10 @@ sign-normalized), which we get by storing them as sympy domain elements:
 gmpy-backed rationals, GaussianRational, or FracElement over those.
 
 Only x has a nonzero derivative (x' = 1); parameters are constants.
+
+This module also owns the ring of each field (ring_of) and the one
+canonical primitive form over it (clear_denominators, primitive_divisor),
+which the eliminator's stored rows and DPoly.normalize both use.
 """
 
 from __future__ import annotations
@@ -194,10 +198,7 @@ class Field:
     # -- x-structure --------------------------------------------------
 
     def _xdeg(self, poly):
-        if not poly:
-            return 0
-        idx = 0
-        return max(mon[idx] for mon in poly.monoms())
+        return max((mon[0] for mon in poly.monoms()), default=0)
 
     def x_degree(self, c):
         """Degree in x of a coefficient with x-free denominator."""
@@ -345,3 +346,56 @@ def get_field(kind="Q", params=(), has_x=False):
 def field_from_label(text):
     desc = FieldDesc.from_label(text)
     return get_field(desc.kind, desc.params, desc.has_x)
+
+
+# ---------------------------------------------------------------------------
+# the ring of a field and the canonical primitive form over it
+
+def plain_q(field):
+    """True when coefficients are plain rationals (no field means Q).
+
+    Layers over plain Q have integer rows, which modp_rank also reads.
+    """
+    return field is None or (field.desc.kind == "Q" and not field.desc.params
+                             and not field.desc.has_x)
+
+
+def ring_of(field):
+    """(R, F): the ring whose elements rows hold, and the field over it.
+
+    F is the field's sympy domain (QQ when there is no field).  R is ZZ
+    for Q, ZZ_I for Q(i), and with parameters or x the polynomial ring
+    in those names over ZZ or ZZ_I.  (F.get_ring() would have a field as
+    its ground, whose gcd and lcm of constants are 1.)
+    """
+    F = QQ if field is None else field.domain
+    if F.is_FractionField:
+        return F.domain.get_ring().poly_ring(*F.symbols), F
+    return F.get_ring(), F
+
+
+def clear_denominators(R, F, terms):
+    """(cleared terms over R, den in F) with cleared = den * terms."""
+    K = R.get_field()
+    parts = [(m, K.convert_from(c, F)) for m, c in terms]
+    den = R.one
+    for _, c in parts:
+        den = R.lcm(den, K.denom(c))
+    return ([(m, K.numer(c) * (den // K.denom(c))) for m, c in parts],
+            F.convert_from(den, R))
+
+
+def primitive_divisor(R, values, lead):
+    """The gcd over R of values, times the unit that makes lead canonical.
+
+    Divided by it, values are primitive and lead (one of them) is positive
+    over ZZ, in re > 0, im >= 0 over ZZ_I, or over a polynomial ring has
+    such a leading coefficient.
+    """
+    gcd, one = R.gcd, R.one
+    g = R.zero
+    for v in values:
+        g = gcd(g, v)
+        if g == one:
+            break
+    return g // R.canonical_unit(lead // g)

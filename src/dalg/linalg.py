@@ -3,15 +3,17 @@
 MacaulayLayers is the one builder of Macaulay layers: it orders the
 columns, makes the rows monomial * generator and checks the work budget
 before any row of a layer is built.  Each generator is cleared of
-denominators once, into the ring R of its field (ring_of): ints over
-plain Q, Gaussian integers over Q(i), and polynomials over those in the
-parameters and x otherwise.
+denominators once, into the ring R of its field: ints over plain Q,
+Gaussian integers over Q(i), and polynomials over those in the
+parameters and x otherwise.  The fields module owns that ring (ring_of,
+clear_denominators) and the canonical primitive form over it
+(primitive_divisor); this module only uses them.
 
 Rows live over a fixed ordered column set.  The eliminator keeps rows in
 row-echelon form with the deterministic pivot rule "first nonzero entry
 under the column order".  There is one reduction, fraction-free over R
 for every field: cross-multiplication by the pivots over their gcd, with
-the content stripped when a row is stored.  Entries never leave R, so no
+a row made primitive when it is stored.  Entries never leave R, so no
 operation needs a gcd of fractions.
 
 With tracking on, each stored row keeps a recipe instead of a trail: the
@@ -36,10 +38,9 @@ from contextlib import contextmanager
 from heapq import heappop, heappush
 from math import comb
 
-from sympy.polys.domains import QQ
-
 from .dpoly import mono_mul
 from .errors import BudgetExceededError
+from .fields import clear_denominators, plain_q, primitive_divisor, ring_of
 
 DEFAULT_BUDGET = 2 * 10**7
 
@@ -119,40 +120,6 @@ def monomial_count(v, k):
 # ---------------------------------------------------------------------------
 # exact sparse eliminator
 
-def plain_q(field):
-    """True when coefficients are plain rationals (no field means Q).
-
-    Layers over plain Q have integer rows, which modp_rank also reads.
-    """
-    return field is None or (field.desc.kind == "Q" and not field.desc.params
-                             and not field.desc.has_x)
-
-
-def ring_of(field):
-    """(R, F): the ring whose elements rows hold, and the field over it.
-
-    F is the field's sympy domain (QQ when there is no field).  R is ZZ
-    for Q, ZZ_I for Q(i), and with parameters or x the polynomial ring
-    in those names over ZZ or ZZ_I.  (F.get_ring() would have a field as
-    its ground, whose gcd and lcm of constants are 1.)
-    """
-    F = QQ if field is None else field.domain
-    if F.is_FractionField:
-        return F.domain.get_ring().poly_ring(*F.symbols), F
-    return F.get_ring(), F
-
-
-def clear_denominators(R, F, terms):
-    """(cleared terms over R, den in F) with cleared = den * terms."""
-    K = R.get_field()
-    parts = [(m, K.convert_from(c, F)) for m, c in terms]
-    den = R.one
-    for _, c in parts:
-        den = R.lcm(den, K.denom(c))
-    return ([(m, K.numer(c) * (den // K.denom(c))) for m, c in parts],
-            F.convert_from(den, R))
-
-
 class SparseEliminator:
     """Incremental row echelon form over the ring of a field.
 
@@ -191,12 +158,7 @@ class SparseEliminator:
             c = min(row)
             p = self.pivot_of_col.get(c)
             if p is None:
-                g = zero
-                for v in row.values():
-                    g = gcd(g, v)
-                    if g == one:
-                        break
-                g = g // R.canonical_unit(row[c] // g)
+                g = primitive_divisor(R, row.values(), row[c])
                 if g != one:
                     row = {cc: v // g for cc, v in row.items()}
                 recipe = None

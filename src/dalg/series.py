@@ -16,8 +16,7 @@ from math import comb, factorial
 
 from .dpoly import DPoly, JetVar
 from .errors import DalgError, HypothesisError
-from .fields import Field
-from .linalg import plain_q
+from .fields import Field, plain_q
 from .system import _family_of_label
 
 

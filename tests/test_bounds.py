@@ -66,28 +66,56 @@ def _is_onset(holds, k):
     return holds(k) and (k == 1 or not holds(k - 1))
 
 
+def _grid():
+    """d <= 6, r_min <= 8, r_l <= r_min, r_min <= r <= r_min + 8."""
+    return [(d, r_min, r_l, r) for d in range(1, 7) for r_min in range(0, 9)
+            for r_l in range(0, r_min + 1) for r in range(r_min, r_min + 9)]
+
+
 def test_onsets_match_naive_scan_on_grid():
     # the scan steps k = 1, 2, ... up to a cap; an onset past the cap is
     # checked at k and k - 1 instead (both predicates are monotone in k)
     cap = 3000
-    points = 0
-    for d in range(1, 7):
-        for r_min in range(0, 9):
-            for r_l in range(0, r_min + 1):
-                for r in range(r_min, r_min + 9):
-                    points += 1
-                    for holds, k in (
-                            (_counting(d, r_min, r_l, r),
-                             sufficiency_k(d, r_min, r_l, r)),
-                            (_above_threshold(d, r_min, r_l, r),
-                             theorem_bound(d, r_min, r_l, r).k_min)):
-                        scan = next((j for j in range(1, cap + 1) if holds(j)),
-                                    None)
-                        if scan is None:
-                            assert k > cap and _is_onset(holds, k)
-                        else:
-                            assert k == scan
-    assert points == 2430
+    grid = _grid()
+    for d, r_min, r_l, r in grid:
+        for holds, k in (
+                (_counting(d, r_min, r_l, r), sufficiency_k(d, r_min, r_l, r)),
+                (_above_threshold(d, r_min, r_l, r),
+                 theorem_bound(d, r_min, r_l, r).k_min)):
+            scan = next((j for j in range(1, cap + 1) if holds(j)), None)
+            if scan is None:
+                assert k > cap and _is_onset(holds, k)
+            else:
+                assert k == scan
+    assert len(grid) == 2430
+
+
+def test_threshold_display_matches_float_on_grid():
+    # a double holds every threshold of the grid to far better than six
+    # digits, so its "%.6g" text is an oracle for the exact rounding
+    inexact = 0
+    for d, r_min, r_l, r in _grid():
+        tb = theorem_bound(d, r_min, r_l, r)
+        p, q = r - r_l + 1, r - r_min + 1
+        if tb.exact:
+            assert p % q == 0
+            assert tb.display == str((r + 1) * (d ** (p // q) - 1))
+            continue
+        inexact += 1
+        assert tb.display == f"{(r + 1) * (d ** (p / q) - 1):.6g}", (d, r_min, r_l, r)
+    assert inexact == 1482
+
+
+def test_threshold_display_past_float_range():
+    # (r+1)*(10^(703/3) - 1) is about 1.5e237; d^p alone is 10^703
+    tb = theorem_bound(10, 700, 0, 702)
+    assert not tb.exact and tb.display == "1.51457e+237"
+    assert _is_onset(_above_threshold(10, 700, 0, 702), tb.k_min)
+    # p/q = 702/2 reduces to an integer exponent
+    tb = theorem_bound(10, 700, 0, 701)
+    assert tb.exact and tb.display == str(702 * (10 ** 351 - 1))
+    # an exact root on the inexact branch: 4^(3/2) = 8
+    assert theorem_bound(4, 1, 0, 2).display == "21"
 
 
 def test_large_onsets_are_exact():
@@ -97,6 +125,10 @@ def test_large_onsets_are_exact():
     tb = theorem_bound(10, 61, 0, 63)
     assert not tb.exact and tb.k_min == 137883820162040558192531
     assert _is_onset(_above_threshold(10, 61, 0, 63), tb.k_min)
+    # r_min in the hundreds: the onset lies near 1.5e237
+    k = sufficiency_k(10, 700, 0, 702)
+    assert len(str(k)) == 238
+    assert _is_onset(_counting(10, 700, 0, 702), k)
 
 
 def test_plus_times_and_div_reduce_to_main_bound():

@@ -2,6 +2,7 @@
 byte determinism."""
 
 import json
+from math import comb
 
 import jsonschema
 import pytest
@@ -40,6 +41,20 @@ def test_bound_thm_json(capsys):
     assert obj["k_min"] == 10 and obj["threshold"] == "9"
     assert obj["threshold_exact"] is True
     assert obj["sufficiency_k"] == 10
+
+
+def test_bound_past_float_range(capsys):
+    # the threshold 702*(10^351 - 1) is far beyond a double
+    code, out, err = run(capsys, "bound", "--thm", "--d", "10", "--rmin",
+                         "700", "--rl", "0", "--r", "701")
+    t = 702 * (10 ** 351 - 1)
+    assert (code, err) == (0, "")
+    head, _, k = out.rpartition("  sufficiency_k=")
+    assert head == f"threshold={t}  k_min={t + 1}"
+    # the counting inequality C(702+k, 702) > 10^702 * C(700+k, k) starts at k
+    k = int(k)
+    assert comb(702 + k, 702) > 10 ** 702 * comb(700 + k, k)
+    assert comb(701 + k, 702) <= 10 ** 702 * comb(699 + k, k - 1)
 
 
 def test_bound_comp_text_default(capsys):

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from dalg import DPoly, JetVar, get_field, parse_poly
+from dalg import DPoly, JetVar, field_from_label, get_field, parse_poly
 from dalg.errors import ParseError
 
-from oracles import DEFAULT_JETS, rand_poly
+from oracles import DEFAULT_JETS, rand_coeff, rand_poly
 
 FIELDS = [
     get_field("Q"),
@@ -177,3 +177,31 @@ def test_leading_monomial_order():
         ((JetVar.y(2).key, 2),)
     assert parse_poly("y1^3 + y2^2", field).leading_monomial() == \
         ((JetVar.y(1).key, 3),)
+
+
+@pytest.mark.parametrize("label", ["Q", "Qi", "Qi(c;)", "Q(a;x)", "Qi(a;x)"])
+def test_normalize_is_a_normal_form(label):
+    # no scalar survives normalize(): units of Z[i] such as i, primes of
+    # Z[i] such as 1+i, rationals, and random coefficients of the field
+    field = field_from_label(label)
+    rng = random.Random(1)
+    scalars = [field.q(-2, 3)]
+    if field.desc.kind == "Qi":
+        scalars += [field.i(), field.one + field.i()]
+    for _ in range(100):
+        p = rand_poly(rng, field, DEFAULT_JETS, max_terms=5)
+        s = rand_coeff(rng, field)
+        norm = p.normalize()
+        ratios = {norm.terms[m] / c for m, c in p.terms.items()}
+        assert norm.terms.keys() == p.terms.keys() and len(ratios) == 1
+        assert norm.normalize() == norm
+        for c in scalars + ([s] if s else []):
+            assert (p * c).normalize() == norm, (str(p), str(c))
+
+
+def test_normalize_gaussian_leading_unit():
+    # the leading coefficient lands in re > 0, im >= 0 whatever the scalar
+    field = get_field("Qi")
+    p = parse_poly("(1+3*i)*y1'' + (-2+i)*y1' + 1", field)
+    for c in ("1", "i", "-1", "1+i", "2-i/3"):
+        assert str((p * parse_poly(c, field)).normalize()) == str(p)

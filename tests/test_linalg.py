@@ -11,10 +11,10 @@ import pytest
 from dalg import JetVar, field_from_label, get_field, parse_poly, parse_system
 from dalg.eliminate import find_annihilator
 from dalg.errors import BudgetExceededError
+from dalg.fields import clear_denominators, ring_of
 from dalg.hilbert import check_dregular, hf
 from dalg.linalg import (MOD_P, SparseEliminator, budget_limit, check_budget,
-                         clear_denominators, degree_monomials, modp_rank,
-                         monomial_count, ring_of)
+                         degree_monomials, modp_rank, monomial_count)
 
 from oracles import dense_rank, rand_coeff
 

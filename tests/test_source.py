@@ -41,3 +41,49 @@ def test_no_unused_imports_in_package():
              for path in sorted(SRC.glob("*.py"))}
     assert len(found) > 10
     assert {name: dead for name, dead in found.items() if dead} == {}
+
+
+def _orphaned_private(trees):
+    """(module, name) of each private function or method, defined at
+    module or class level, whose name no module loads.
+
+    trees maps module names to parsed modules; a name counts as loaded
+    when it is read as a plain name or as an attribute anywhere in them.
+    Dunder methods are called by Python itself and are never flagged.
+    """
+    def private(node):
+        return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_")
+                and not (node.name.startswith("__") and node.name.endswith("__")))
+
+    defined = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined += [(mod, f.name) for f in body if private(f)]
+    used = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+    return sorted(d for d in defined if d[1] not in used)
+
+
+def test_orphan_helper_sees_dead_private_code():
+    a = ast.parse("def _dead(): pass\n"
+                  "def _used(): pass\n"
+                  "class K:\n"
+                  "    def __init__(self): self._go()\n"
+                  "    def _go(self): pass\n"
+                  "    def _stale(self): pass\n")
+    b = ast.parse("from a import _used\n_used()\n")
+    assert _orphaned_private({"a": a, "b": b}) == [("a", "_dead"), ("a", "_stale")]
+
+
+def test_no_orphaned_private_helpers_in_package():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(trees) > 10
+    assert _orphaned_private(trees) == []
