@@ -7,8 +7,9 @@ underlying counting inequality C(r+1+k, r+1) > d^(r-r_l+1) * C(r_min+k, k)
 is usually satisfied earlier; sufficiency_k finds its exact onset by
 bisection.  Non-integral exponents are handled without floating-point
 rounding: k > (r+1)*(d^(p/q)-1) holds iff (k+r+1)^q > d^p * (r+1)^q,
-so k_min comes from an exact integer q-th root; so does the printed
-threshold, rounded from floor(threshold * 10^s).
+so k_min comes from an exact integer q-th root.  When that root is exact
+(d^(p/q) is an integer) so is the threshold; otherwise the printed
+threshold is rounded from floor(threshold * 10^s).
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ def _validate(d, r_min, r_l, r):
 
 @dataclass
 class ThresholdBound:
-    """k_min is the smallest integer strictly above the threshold T.  With
-    an integer exponent T is exact and is threshold_fraction; display
-    prints it, or else T rounded exactly as "%.6g" would print it."""
+    """k_min is the smallest integer strictly above the threshold T.  When
+    d^(p/q) is an integer (always with an integer exponent, and for d = 1)
+    T is exact and is threshold_fraction; display prints it, or else T
+    rounded exactly as "%.6g" would print it."""
 
     k_min: int
     exact: bool
@@ -80,12 +82,13 @@ def theorem_bound(d, r_min, r_l, r):
     q = r - r_min + 1
     g = gcd(p, q)
     p, q = p // g, q // g
-    if q == 1:
-        t = Fraction((r + 1) * (d ** p - 1))
-        return ThresholdBound(k_min=int(t) + 1, exact=True,
+    # k + r + 1 > (d^p (r+1)^q)^(1/q) iff k + r + 1 > floor of that root;
+    # the root is exact whenever d^(p/q) is an integer, as when q = 1
+    root, exact = integer_nthroot(d ** p * (r + 1) ** q, q)
+    if exact:
+        t = Fraction(root - (r + 1))
+        return ThresholdBound(k_min=root - r, exact=True,
                               threshold_fraction=t, display=str(t))
-    # k + r + 1 > (d^p (r+1)^q)^(1/q) iff k + r + 1 > floor of that root
-    root = integer_nthroot(d ** p * (r + 1) ** q, q)[0]
     return ThresholdBound(k_min=max(1, root - r), exact=False,
                           threshold_fraction=None,
                           display=_display_6g(d, p, q, r))

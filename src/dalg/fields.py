@@ -15,9 +15,11 @@ gmpy-backed rationals, GaussianRational, or FracElement over those.
 
 Only x has a nonzero derivative (x' = 1); parameters are constants.
 
-This module also owns the ring of each field (ring_of) and the one
-canonical primitive form over it (clear_denominators, primitive_divisor),
-which the eliminator's stored rows and DPoly.normalize both use.
+This module also owns the ring of each field (ring_of), numerators over
+a common denominator (common_denominator, clear_denominators) and the
+one canonical primitive form over the ring (primitive_divisor), which
+the eliminator's stored rows, DPoly.normalize and the series kernels
+use.
 """
 
 from __future__ import annotations
@@ -374,15 +376,24 @@ def ring_of(field):
     return F.get_ring(), F
 
 
+def common_denominator(R, F, values):
+    """(numerators, den) over R with values[j] = numerators[j] / den, for
+    field elements values; den is their least common denominator."""
+    K = R.get_field()
+    parts = [K.convert_from(c, F) if c else K.zero for c in values]
+    one = den = R.one
+    for c in parts:
+        d = K.denom(c)
+        if d != one and d != den:
+            den = R.lcm(den, d)
+    return [K.numer(c) * (den // K.denom(c)) for c in parts], den
+
+
 def clear_denominators(R, F, terms):
     """(cleared terms over R, den in F) with cleared = den * terms."""
-    K = R.get_field()
-    parts = [(m, K.convert_from(c, F)) for m, c in terms]
-    den = R.one
-    for _, c in parts:
-        den = R.lcm(den, K.denom(c))
-    return ([(m, K.numer(c) * (den // K.denom(c))) for m, c in parts],
-            F.convert_from(den, R))
+    terms = list(terms)
+    nums, den = common_denominator(R, F, [c for _, c in terms])
+    return [(m, v) for (m, _), v in zip(terms, nums)], F.convert_from(den, R)
 
 
 def primitive_divisor(R, values, lead):

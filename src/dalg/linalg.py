@@ -20,10 +20,11 @@ With tracking on, each stored row keeps a recipe instead of a trail: the
 pivot rows it was reduced by with their multipliers, the tag of the row
 fed in, that row's multiplier and the final divisor, all folded from the
 reduction steps in R.  Recording a recipe costs no more than the
-elimination it records.  trail_of() expands the recipes on demand into
-an exact combination, over the field, of the rows fed in.  Callers
-replay it as a membership certificate against the generators
-themselves, so a fault in clearing fails the certificate too.
+elimination it records.  trail_of() expands the recipes on demand, in R
+over one common denominator, into an exact combination over the field of
+the rows fed in.  Callers replay it as a membership certificate against
+the generators themselves, so a fault in clearing fails the certificate
+too.
 
 modp_rank reduces the same sparse integer rows over F_p with plain
 integer arithmetic.  A mod-p rank never exceeds the rational rank, so a
@@ -107,10 +108,10 @@ def degree_monomials(varkeys, k):
     if v == 0:
         return [()] if k == 0 else []
     rec(0, k, [])
-    return [
-        tuple((varkeys[i], e) for i, e in enumerate(exps) if e)
-        for exps in out
-    ]
+    # one (variable, exponent) pair object serves every monomial using it
+    pairs = [[(x, e) for e in range(k + 1)] for x in varkeys]
+    return [tuple(pairs[i][e] for i, e in enumerate(exps) if e)
+            for exps in out]
 
 
 def monomial_count(v, k):
@@ -203,35 +204,55 @@ class SparseEliminator:
 
         Expands the recipes on demand: rows are visited in descending
         index order, so a row's weight is final before its recipe hands
-        weight down to the earlier rows it was reduced by.  Coefficients
-        are elements of the field (QQ over plain Q); tags whose
-        coefficients cancel are left out.
+        weight down to the earlier rows it was reduced by.  Weights are
+        numerators in R over one common denominator, which each recipe
+        with a divisor other than one multiplies by it.  A weight keeps
+        the denominator it was last written over and is brought up to
+        the current one when it is next read, so a divisor costs nothing
+        for the weights it does not reach.  Coefficients are elements of
+        the field (QQ over plain Q), each divided once at the end; tags
+        whose coefficients cancel are left out.
         """
         if self.trails[i] is None:
             return None
         R, F = self.ring, self.domain
+        one = R.one
+        dens = [one]    # dens[k]: the common denominator after k divisors
+        factors = {}    # k -> dens[-1] // dens[k]
 
-        def conv(v):
-            return F.convert_from(v, R)
+        def lift(v, k):
+            """v, a numerator over dens[k], as one over dens[-1]."""
+            if k == len(dens) - 1:
+                return v
+            if k not in factors:
+                factors[k] = dens[-1] // dens[k]
+            return v * factors[k]
 
-        weight = {i: F.one}
+        weight = {i: (one, 0)}
         heap = [-i]
         out = {}
         while heap:
             j = -heappop(heap)
-            w = weight.pop(j)
+            w = lift(*weight.pop(j))
             if not w:
                 continue
             coeffs, tag, scale, divisor = self.trails[j]
-            w = w / conv(divisor)
-            out[tag] = out.get(tag, F.zero) + w * conv(scale)
+            if divisor != one:
+                # w / dens[-1] / divisor is w over the next denominator
+                dens.append(dens[-1] * divisor)
+                factors.clear()
+            top = len(dens) - 1
+            v = lift(*out[tag]) if tag in out else R.zero
+            out[tag] = (v + w * scale, top)
             for p, b in coeffs.items():
                 if p in weight:
-                    weight[p] -= w * conv(b)
+                    weight[p] = (lift(*weight[p]) - w * b, top)
                 else:
-                    weight[p] = -(w * conv(b))
+                    weight[p] = (-(w * b), top)
                     heappush(heap, -p)
-        return {t: v for t, v in out.items() if v}
+        d = F.convert_from(dens[-1], R)
+        return {t: F.convert_from(lift(*v), R) / d
+                for t, v in out.items() if v[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +284,14 @@ class MacaulayLayers:
             self.terms.append(terms)
             self.dens.append(den)
         self._cols = {}
+        self._mults = {}
+
+    def _multipliers(self, e):
+        """Monomials of degree e, the multipliers of a generator of degree
+        k - e in layer k, in descending grevlex order."""
+        if e not in self._mults:
+            self._mults[e] = degree_monomials(self.varkeys, e)
+        return self._mults[e]
 
     def columns(self, k):
         """(monomials, column of each monomial, first column of the last
@@ -290,7 +319,7 @@ class MacaulayLayers:
         _, index, _ = self.columns(k)
         return ((gi, mu, {index[mono_mul(mu, m)]: c for m, c in self.terms[gi]})
                 for gi, d in enumerate(self.degs[:upto]) if d <= k
-                for mu in degree_monomials(self.varkeys, k - d))
+                for mu in self._multipliers(k - d))
 
     def eliminate(self, k, upto=None, track=False):
         """Row-reduce the degree-k layer of gens[:upto].

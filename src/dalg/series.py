@@ -6,6 +6,14 @@ index n is the coefficient of t^n with x = point + t.  The truncation
 order N means coefficients 0..N are correct; arithmetic tracks how many
 output coefficients remain trustworthy (differentiation loses one,
 products keep the minimum, integration gains one).
+
+Differential polynomials are evaluated in the ring R = ring_of(field)[0]
+of the coefficient field (ints over Q, Gaussian integers over Q(i),
+polynomials in the parameters and x otherwise): jets and coefficients
+are numerators in R over one common denominator, so no sum or product
+takes a gcd of fractions.  verify_annihilator tests a residual by its
+numerators alone; apply_dpoly divides once at the end.  Only the
+inversions of the series solvers (_linv) work over the field.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from math import comb, factorial
 
 from .dpoly import DPoly, JetVar
 from .errors import DalgError, HypothesisError
-from .fields import Field, plain_q
+from .fields import Field, common_denominator, plain_q, ring_of
 from .system import _family_of_label
 
 
@@ -36,34 +44,37 @@ def _embed(c, src: Field, dst: Field):
 
 
 # ---------------------------------------------------------------------------
-# raw coefficient-list kernels (length = N+1, entries in field.domain)
+# coefficient-list kernels (length = N+1).  _ladd, _lneg, _lmul and
+# _lderive work over any ring, so they serve the field lists of SeriesQ
+# and the numerator lists of an evaluation alike; the others divide.
 
-def _ladd(field, a, b):
-    n = min(len(a), len(b))
-    return [a[i] + b[i] for i in range(n)]
+def _ladd(a, b):
+    return [u + v for u, v in zip(a, b)]
 
 
-def _lneg(field, a):
+def _lneg(a):
     return [-c for c in a]
 
 
-def _lmul(field, a, b, n=None):
-    if n is None:
-        n = min(len(a), len(b))
-    out = [field.zero] * n
-    for i, ai in enumerate(a):
-        if i >= n:
-            break
-        if field.is_zero(ai):
+def _lmul(a, b, n, zero):
+    """Product of two coefficient lists truncated to length n.
+
+    The list with fewer nonzero entries is the outer one, and its zero
+    entries are skipped.
+    """
+    if sum(map(bool, a)) > sum(map(bool, b)):
+        a, b = b, a
+    out = [zero] * n
+    for i, ai in enumerate(a[:n]):
+        if not ai:
             continue
-        lim = min(len(b), n - i)
-        for j in range(lim):
-            out[i + j] = out[i + j] + ai * b[j]
+        for j, bj in enumerate(b[:n - i], i):
+            out[j] += ai * bj
     return out
 
 
-def _lderive(field, a):
-    return [a[i] * field.q(i) for i in range(1, len(a))]
+def _lderive(a):
+    return [a[i] * i for i in range(1, len(a))]
 
 
 def _lintegrate(field, a, c0):
@@ -79,10 +90,13 @@ def _linv(field, a):
             "series has no constant term; it is not invertible")
     n = len(a)
     inv0 = field.one / a[0]
+    support = [j for j in range(1, n) if a[j]]
     out = [inv0] + [field.zero] * (n - 1)
     for k in range(1, n):
         acc = field.zero
-        for j in range(1, min(k, len(a) - 1) + 1):
+        for j in support:
+            if j > k:
+                break
             acc = acc + a[j] * out[k - j]
         out[k] = -inv0 * acc
     return out
@@ -108,7 +122,7 @@ def _lcompose0(field, a, b, n):
             "composition requires an inner series with zero constant term")
     out = [field.zero] * n
     for c in reversed(a[:n]):
-        out = _lmul(field, out, b, n)
+        out = _lmul(out, b, n, field.zero)
         out[0] = out[0] + c
     return out
 
@@ -208,34 +222,35 @@ def _unify(a: SeriesQ, b: SeriesQ):
 def series_add(a, b):
     a, b = _unify(a, b)
     n = min(a.N, b.N)
-    return SeriesQ(a.field, a.point, _ladd(a.field, a.coeffs, b.coeffs), n)
+    return SeriesQ(a.field, a.point, _ladd(a.coeffs, b.coeffs), n)
 
 
 def series_sub(a, b):
     a, b = _unify(a, b)
     n = min(a.N, b.N)
     return SeriesQ(a.field, a.point,
-                   _ladd(a.field, a.coeffs, _lneg(a.field, b.coeffs)), n)
+                   _ladd(a.coeffs, _lneg(b.coeffs)), n)
 
 
 def series_mul(a, b):
     a, b = _unify(a, b)
     n = min(a.N, b.N)
     return SeriesQ(a.field, a.point,
-                   _lmul(a.field, a.coeffs, b.coeffs, n + 1), n)
+                   _lmul(a.coeffs, b.coeffs, n + 1, a.field.zero), n)
 
 
 def series_div(a, b):
     a, b = _unify(a, b)
     n = min(a.N, b.N)
     inv = _linv(b.field, b.coeffs[:n + 1])
-    return SeriesQ(a.field, a.point, _lmul(a.field, a.coeffs, inv, n + 1), n)
+    return SeriesQ(a.field, a.point,
+                   _lmul(a.coeffs, inv, n + 1, a.field.zero), n)
 
 
 def series_derive(a):
     if a.N < 1:
         raise DalgError("cannot differentiate below truncation 0")
-    return SeriesQ(a.field, a.point, _lderive(a.field, a.coeffs), a.N - 1)
+    return SeriesQ(a.field, a.point, _lderive(a.coeffs), a.N - 1)
 
 
 def series_integrate(a, c0=0):
@@ -280,46 +295,118 @@ def series_arith(op, a, b=None):
 # ---------------------------------------------------------------------------
 # evaluating differential polynomials on series
 
-def _x_series(field, c, point, n):
-    """Coefficient c, which may involve x, as a t-list with x = point+t."""
-    xs = field.as_x_poly(c)
-    pt = field.from_fraction(Fraction(point))
-    out = [field.zero] * n
-    for e, ce in enumerate(xs):
-        if field.is_zero(ce):
+def _x_series(field, R, c, point, n):
+    """Coefficient c, which may involve x, as a t-list with x = point + t.
+
+    Returns (numerators, denominator) in R.  c = sum_e c_e * x^e of degree
+    d, with the c_e over one denominator; with point = a/b the powers of
+    b are cleared into it too: b^d * x^e = sum_j C(e, j) * a^(e-j) *
+    b^(d-e+j) * t^j.
+    """
+    nums, den = common_denominator(R, field.domain, field.as_x_poly(c))
+    d = len(nums) - 1
+    a, b = point.numerator, point.denominator
+    out = [R.zero] * n
+    for e, ce in enumerate(nums):
+        if not ce:
             continue
         for j in range(min(e, n - 1) + 1):
-            power = pt ** (e - j) if e > j else field.one
-            out[j] = out[j] + field.q(comb(e, j)) * power * ce
-    return out
+            out[j] += ce * (comb(e, j) * a ** (e - j) * b ** (d - e + j))
+    return out, den * b ** d
 
 
-def _eval_terms(P: DPoly, jet_lists, n, point):
-    """P evaluated on raw jet coefficient lists, truncated to length n.
-
-    jet_lists maps (fam, idx) -> list of t-lists, index = derivative order.
-    """
+def _coefficients(P: DPoly, point, n):
+    """P's terms for _eval_terms: (terms, den) with one entry (t-list,
+    monomial, jet degree) per term, the t-lists (_x_series) truncated to
+    length n and scaled to numerators in R over their common
+    denominator den."""
     field = P.field
-    acc = [field.zero] * n
+    R = ring_of(field)[0]
+    terms = []
     for m, c in P.terms.items():
-        term = _x_series(field, c, point, n)
-        for (f, i, o), e in m:
-            if (f, i, o) == (0, 0, 0):
-                raise DalgError(
-                    "homogenization variable present; dehomogenize first")
-            base = jet_lists[(f, i)][o]
-            for _ in range(e):
-                term = _lmul(field, term, base, n)
-        acc = _ladd(field, acc, term)
-    return acc
+        cnums, cden = _x_series(field, R, c, point, n)
+        if any(v == (0, 0, 0) for v, _ in m):
+            raise DalgError(
+                "homogenization variable present; dehomogenize first")
+        terms.append((cnums, cden, m))
+    den = R.one
+    for _, cden, _ in terms:
+        den = R.lcm(den, cden)
+    return [([v * (den // cden) for v in cnums], m, sum(e for _, e in m))
+            for cnums, cden, m in terms], den
 
 
-def apply_dpoly(P: DPoly, witnesses) -> SeriesQ:
-    """Evaluate P on series witnesses for each jet family it uses.
+def _eval_terms(R, coefficients, jets, den, n):
+    """A polynomial evaluated on jets held as numerators over one
+    denominator.
 
-    witnesses maps a family label ("y1", "z") or key tuple to a SeriesQ.
-    x inside coefficients is expanded around the common expansion point.
+    coefficients is _coefficients of the polynomial, with t-lists at
+    least n long.  jets maps (fam, idx) to the t-lists of its jets, index
+    = derivative order, with entries numerators in R over the common
+    denominator den.  Returns (numerators, denominator) in R of the value
+    truncated to length n.  Each jet power is computed once and shared by
+    every monomial, and a term of jet degree e is scaled by
+    den^(top - e), top the largest degree, so that every term has the
+    same denominator.
     """
+    terms, cden = coefficients
+    zero = R.zero
+    top = max((deg for *_, deg in terms), default=0)
+    den_powers = [R.one]
+    for _ in range(top):
+        den_powers.append(den_powers[-1] * den)
+
+    powers = {}
+
+    def power(v, e):
+        ladder = powers.setdefault(v, [None, jets[v[:2]][v[2]]])
+        while len(ladder) <= e:
+            ladder.append(_lmul(ladder[-1], ladder[1], n, zero))
+        return ladder[e]
+
+    acc = [zero] * n
+    for cnums, m, deg in terms:
+        scale = den_powers[top - deg]
+        term = [v * scale for v in cnums[:n]]
+        for v, e in m:
+            term = _lmul(term, power(v, e), n, zero)
+        acc = _ladd(acc, term)
+    return acc, cden * den_powers[top]
+
+
+def _to_field(field, nums, den):
+    """The field elements nums[j] / den, one division each."""
+    R, F = ring_of(field)
+    vals = [F.convert_from(v, R) if v else F.zero for v in nums]
+    if den == R.one:
+        return vals
+    d = F.convert_from(den, R)
+    return [v / d if v else v for v in vals]
+
+
+def _jets(field, series, pad=False):
+    """(jets, den) of field lists, as numerators in the ring over one
+    common denominator den.  series maps (fam, idx) to (coefficients, r):
+    jets[(fam, idx)] holds the coefficients and their first r
+    derivatives, with pad each padded with zeros to the full length."""
+    R, F = ring_of(field)
+    nums, den = common_denominator(
+        R, F, [c for cs, _ in series.values() for c in cs])
+    jets, pos = {}, 0
+    for fam, (cs, r) in series.items():
+        ladder = [nums[pos:pos + len(cs)]]
+        pos += len(cs)
+        for _ in range(r):
+            d = _lderive(ladder[-1])
+            ladder.append(d + [R.zero] if pad else d)
+        jets[fam] = ladder
+    return jets, den
+
+
+def _residual(P: DPoly, witnesses):
+    """(point, numerators, denominator, truncation N) of P evaluated on
+    series witnesses; numerators and denominator lie in the ring of
+    P's field, and only numerators 0..N are trustworthy."""
     field = P.field
     wit = {}
     for k, s in witnesses.items():
@@ -335,25 +422,31 @@ def apply_dpoly(P: DPoly, witnesses) -> SeriesQ:
         raise DalgError("witness series have different expansion points")
     point = points.pop() if points else Fraction(0)
 
-    n_eff = None
-    jet_lists = {}
+    n_eff = min((wit[fam].N - top for fam, top in orders.items()), default=0)
+    series = {}
     for fam, top in orders.items():
         s = wit[fam]
         coeffs = ([_embed(c, s.field, field) for c in s.coeffs]
-                  if s.field.desc != field.desc else list(s.coeffs))
-        ladder = [coeffs]
-        for _ in range(top):
-            ladder.append(_lderive(field, ladder[-1]))
-        jet_lists[fam] = ladder
-        avail = s.N - top
-        n_eff = avail if n_eff is None else min(n_eff, avail)
-    if n_eff is None:
-        n_eff = 0
+                  if s.field.desc != field.desc else s.coeffs)
+        series[fam] = (coeffs[:n_eff + top + 1], top)
     if n_eff < 0:
         raise DalgError("witness truncation too small for the derivatives "
                         "required")
-    vals = _eval_terms(P, jet_lists, n_eff + 1, point)
-    return SeriesQ(field, point, vals, n_eff)
+    coefficients = _coefficients(P, point, n_eff + 1)
+    vals, vden = _eval_terms(ring_of(field)[0], coefficients,
+                             *_jets(field, series), n_eff + 1)
+    return point, vals, vden, n_eff
+
+
+def apply_dpoly(P: DPoly, witnesses) -> SeriesQ:
+    """Evaluate P on series witnesses for each jet family it uses.
+
+    witnesses maps a family label ("y1", "z") or key tuple to a SeriesQ.
+    x inside coefficients is expanded around the common expansion point.
+    The value is computed in the ring and divided once at the end.
+    """
+    point, nums, den, n = _residual(P, witnesses)
+    return SeriesQ(P.field, point, _to_field(P.field, nums, den), n)
 
 
 # ---------------------------------------------------------------------------
@@ -392,24 +485,22 @@ def solve_ode_series(P: DPoly, initial, N, point=0) -> SeriesQ:
         if j < n:
             f[j] = c / field.q(factorial(j))
 
-    first = True
+    R = ring_of(field)[0]
+    a_coeffs, b_coeffs = _coefficients(A, point, n), None
+    # f^(r) = -B/A gives f_j = (j - r)!/j! * (-B/A)_(j - r) for j >= r
+    ratios = [field.q(factorial(j - r), factorial(j)) for j in range(r, n)]
     for _ in range(max(N - r + 2, 2)):
-        ladder = [f]
-        for _ in range(max(r - 1, 0)):
-            ladder.append(_lderive(field, ladder[-1]) + [field.zero])
-        jet_lists = {fam: [lst[:n] for lst in ladder]}
-        a_vals = _eval_terms(A, jet_lists, n, point)
-        if first and field.is_zero(a_vals[0]):
-            raise HypothesisError(
-                "leading coefficient vanishes on the initial jets; the "
-                "series is not determined")
-        first = False
-        b_vals = _eval_terms(B, jet_lists, n, point)
-        top_vals = _lmul(field, _lneg(field, b_vals),
-                         _linv(field, a_vals), n)
-        new = list(f[:])
-        for j in range(r, n):
-            new[j] = top_vals[j - r] * field.q(factorial(j - r), factorial(j))
+        jets, den = _jets(field, {fam: (f, r - 1)}, pad=True)
+        a_vals = _to_field(field, *_eval_terms(R, a_coeffs, jets, den, n))
+        if b_coeffs is None:
+            if field.is_zero(a_vals[0]):
+                raise HypothesisError(
+                    "leading coefficient vanishes on the initial jets; the "
+                    "series is not determined")
+            b_coeffs = _coefficients(B, point, n)
+        b_vals = _to_field(field, *_eval_terms(R, b_coeffs, jets, den, n))
+        top_vals = _lmul(_lneg(b_vals), _linv(field, a_vals), n, field.zero)
+        new = f[:r] + [v * q for v, q in zip(top_vals, ratios)]
         if new == f:
             break
         f = new
@@ -426,22 +517,29 @@ def newton_algebraic_series(Qg: DPoly, y0, N, point=0) -> SeriesQ:
     point = Fraction(point)
     y0 = y0 if _is_elem(field, y0) else field.from_fraction(Fraction(y0))
     dQ = Qg.partial(y1)
+
+    R = ring_of(field)[0]
     n = N + 1
+
+    def values(coefficients, y, m):
+        jets, den = _jets(field, {(1, 1): (y[:m], 0)})
+        return _to_field(field, *_eval_terms(R, coefficients, jets, den, m))
+
     y = [field.zero] * n
     y[0] = y0
-    val0 = _eval_terms(Qg, {(1, 1): [y]}, 1, point)[0]
-    if not field.is_zero(val0):
+    q_coeffs = _coefficients(Qg, point, n)
+    if not field.is_zero(values(q_coeffs, y, 1)[0]):
         raise HypothesisError("y0 is not a root of Qg at the expansion point")
-    d0 = _eval_terms(dQ, {(1, 1): [y]}, 1, point)[0]
-    if field.is_zero(d0):
+    d_coeffs = _coefficients(dQ, point, n)
+    if field.is_zero(values(d_coeffs, y, 1)[0]):
         raise HypothesisError("y0 is not a simple root; Newton iteration "
                               "cannot start")
     for _ in range(N + 2):
-        q_vals = _eval_terms(Qg, {(1, 1): [y]}, n, point)
+        q_vals = values(q_coeffs, y, n)
         if all(field.is_zero(c) for c in q_vals):
             break
-        d_vals = _eval_terms(dQ, {(1, 1): [y]}, n, point)
-        step = _lmul(field, q_vals, _linv(field, d_vals), n)
+        d_vals = values(d_coeffs, y, n)
+        step = _lmul(q_vals, _linv(field, d_vals), n, field.zero)
         y = [y[i] - step[i] for i in range(n)]
     return SeriesQ(field, point, y, N)
 
@@ -453,19 +551,21 @@ def verify_annihilator(ann, witnesses, N=None) -> dict:
     """Series-certify an annihilator against witness series.
 
     The residual is P evaluated on the witnesses; it is certified when
-    every trustworthy residual coefficient vanishes.  The annihilator's
-    series_certified / residual_valuation fields are updated in place.
+    every trustworthy residual coefficient vanishes.  Its numerators in
+    the ring are tested directly: the common denominator is nonzero, so
+    the valuation is theirs.  The annihilator's series_certified /
+    residual_valuation fields are updated in place.
     """
     wit = dict(witnesses)
     if N is not None:
         wit = {k: (s.truncate(N) if s.N > N else s) for k, s in wit.items()}
-    residual = apply_dpoly(ann.poly, wit)
-    certified = residual.is_zero_to_truncation()
-    valuation = residual.valuation()
+    _, nums, _, n = _residual(ann.poly, wit)
+    valuation = next((j for j, v in enumerate(nums) if v), n + 1)
+    certified = valuation == n + 1
     ann.series_certified = certified
     ann.residual_valuation = valuation
     return {"certified": certified, "residual_valuation": valuation,
-            "truncation": residual.N}
+            "truncation": n}
 
 
 # ---------------------------------------------------------------------------

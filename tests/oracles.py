@@ -7,6 +7,7 @@ sharing with the package's own elimination or resultant code paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 import sympy
 
@@ -88,3 +89,45 @@ def rand_poly(rng, field, jets, max_terms=4, max_deg=3, allow_zero=False):
 
 DEFAULT_JETS = [JetVar.y(1), JetVar.y(1, 1), JetVar.y(2), JetVar.y(2, 1),
                 JetVar.y(1, 2)]
+
+
+def series_eval(P, witnesses, point=0):
+    """P evaluated on truncated series by plain field arithmetic.
+
+    witnesses maps each jet family (fam, idx) of P to (coefficients, N):
+    Taylor coefficients at x = point, in P's field.  Each coefficient of
+    P, polynomial in x, becomes its Taylor list c^(j)(point) / j!; each
+    monomial is multiplied out one factor at a time, and every sum and
+    product is taken in the field.  Returns (coefficients, N) of the value, N the smallest
+    witness truncation less the order it is differentiated to.
+    """
+    field = P.field
+    orders = P.orders()
+    N = min((witnesses[fam][1] - top for fam, top in orders.items()),
+            default=0)
+    n = N + 1
+
+    def jet(fam, o):
+        cs = witnesses[fam][0]
+        return [cs[j + o] * field.q(factorial(j + o), factorial(j))
+                for j in range(n)]
+
+    def mul(a, b):
+        return [sum((a[i] * b[j - i] for i in range(j + 1)), field.zero)
+                for j in range(n)]
+
+    def taylor(c):
+        out = []
+        for j in range(n):
+            out.append(field.eval_x(c, point) * field.q(1, factorial(j)))
+            c = field.derive_x(c)
+        return out
+
+    total = [field.zero] * n
+    for mono, c in P.terms.items():
+        term = taylor(c)
+        for (f, i, o), e in mono:
+            for _ in range(e):
+                term = mul(term, jet((f, i), o))
+        total = [u + v for u, v in zip(total, term)]
+    return total, N

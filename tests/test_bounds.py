@@ -98,12 +98,44 @@ def test_threshold_display_matches_float_on_grid():
         tb = theorem_bound(d, r_min, r_l, r)
         p, q = r - r_l + 1, r - r_min + 1
         if tb.exact:
-            assert p % q == 0
-            assert tb.display == str((r + 1) * (d ** (p // q) - 1))
+            # T + r + 1 = (r+1) * d^(p/q), an integer
+            t = tb.threshold_fraction
+            assert t.denominator == 1
+            assert (t + r + 1) ** q == d ** p * (r + 1) ** q
+            assert tb.display == str(t)
             continue
         inexact += 1
         assert tb.display == f"{(r + 1) * (d ** (p / q) - 1):.6g}", (d, r_min, r_l, r)
-    assert inexact == 1482
+    assert inexact == 1194
+
+
+def _is_qth_power(n, q):
+    lo, hi = 0, 1
+    while hi ** q <= n:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** q <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo ** q == n
+
+
+def test_threshold_exact_iff_root_is_integer_on_grid():
+    # T = (r+1)*(d^(p/q) - 1) is exact exactly when d^p (r+1)^q is a
+    # perfect q-th power; d = 1 and d = 4 with p/q = 3/2 are such cases
+    exact = 0
+    for d, r_min, r_l, r in _grid():
+        p, q = r - r_l + 1, r - r_min + 1
+        tb = theorem_bound(d, r_min, r_l, r)
+        assert tb.exact == _is_qth_power(d ** p * (r + 1) ** q, q)
+        assert tb.exact == (tb.threshold_fraction is not None)
+        exact += tb.exact and p % q != 0
+    assert exact == 288
+    tb = theorem_bound(4, 1, 0, 2)
+    assert tb.exact and tb.threshold_fraction == 21 and tb.k_min == 22
+    assert theorem_bound(1, 1, 0, 2).threshold_fraction == 0
 
 
 def test_threshold_display_past_float_range():
@@ -114,8 +146,11 @@ def test_threshold_display_past_float_range():
     # p/q = 702/2 reduces to an integer exponent
     tb = theorem_bound(10, 700, 0, 701)
     assert tb.exact and tb.display == str(702 * (10 ** 351 - 1))
-    # an exact root on the inexact branch: 4^(3/2) = 8
+    # a non-integral exponent with an exact root: 4^(3/2) = 8
     assert theorem_bound(4, 1, 0, 2).display == "21"
+    # an exact threshold prints in full, not as "%.6g" would: 21*(2^21 - 1)
+    tb = theorem_bound(4, 19, 0, 20)
+    assert tb.exact and tb.display == "44040171"
 
 
 def test_large_onsets_are_exact():

@@ -43,6 +43,17 @@ def test_bound_thm_json(capsys):
     assert obj["sufficiency_k"] == 10
 
 
+def test_bound_thm_exact_root_json(capsys):
+    # the exponent 3/2 is not an integer, but 4^(3/2) = 8 is, so the
+    # threshold 3*(8 - 1) = 21 is exact
+    obj = run_json(capsys, "bound", "bound", "--thm", "--d", "4", "--rmin",
+                   "1", "--rl", "0", "--r", "2", "--format", "json")
+    assert obj == {"mode": "thm",
+                   "params": {"d": 4, "r_min": 1, "r_l": 0, "r": 2},
+                   "threshold": "21", "threshold_exact": True,
+                   "k_min": 22, "sufficiency_k": 18}
+
+
 def test_bound_past_float_range(capsys):
     # the threshold 702*(10^351 - 1) is far beyond a double
     code, out, err = run(capsys, "bound", "--thm", "--d", "10", "--rmin",

@@ -78,14 +78,38 @@ def test_rank_with_planted_dependencies():
         assert elim.rank == dense_rank(rows, ncols)
 
 
+def _trail_in_field(elim, i):
+    """The recipes of stored row i expanded with every weight in the field:
+    rows in descending index order, each divided by its divisor as it is
+    reached."""
+    R, F = elim.ring, elim.domain
+
+    def conv(v):
+        return F.convert_from(v, R)
+
+    weight, out = {i: F.one}, {}
+    for j in range(i, -1, -1):
+        w = weight.pop(j, F.zero)
+        if not w:
+            continue
+        coeffs, tag, scale, divisor = elim.trails[j]
+        w = w / conv(divisor)
+        out[tag] = out.get(tag, F.zero) + w * conv(scale)
+        for p, b in coeffs.items():
+            weight[p] = weight.get(p, F.zero) - w * conv(b)
+    return {t: v for t, v in out.items() if v}
+
+
 @pytest.mark.parametrize("label, size", [
     ("int", 14), ("Qi", 14), ("Qi(c;)", 8), ("Q(a;x)", 8)],
     ids=["int", "Qi", "Qi(c;)", "Q(a;x)"])
 def test_trail_replays_each_reduced_row(label, size):
     # rows over a field are cleared to its ring before they are fed in;
-    # appended combinations reduce to zero or to long chains of earlier
-    # pivot rows, so recipes reach deep before they are expanded.  The
-    # dense oracle over parameter fields is slow, hence smaller layers.
+    # trail_of, which expands in the ring, must equal an expansion in the
+    # field and must replay.  Appended combinations reduce to zero or to
+    # long chains of earlier pivot rows, so recipes reach deep before they
+    # are expanded.  The dense oracle over parameter fields is slow, hence
+    # smaller layers.
     field = None if label == "int" else field_from_label(label)
     R, F = ring_of(field)
     rng = random.Random(24)
@@ -109,8 +133,10 @@ def test_trail_replays_each_reduced_row(label, size):
         assert elim.rank == dense_rank(rows, ncols, zero)
         dependent += len(rows) - elim.rank
         for i, stored in enumerate(elim.rows):
+            trail = elim.trail_of(i)
+            assert trail == _trail_in_field(elim, i)
             replay = {}
-            for tag, coeff in elim.trail_of(i).items():
+            for tag, coeff in trail.items():
                 for j, v in fed[tag].items():
                     replay[j] = (replay.get(j, F.zero)
                                  + coeff * F.convert_from(v, R))

@@ -1,12 +1,14 @@
 """Truncated power series: arithmetic kernels, ODE solutions, Newton
 lifting of algebraic functions, witness library, and certification."""
 
+import random
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
-from dalg import get_field, parse_poly
+from dalg import field_from_label, get_field, parse_poly
 from dalg.errors import DalgError, HypothesisError
 from dalg.resultant import elim_x
 from dalg.series import (SeriesQ, apply_dpoly, newton_algebraic_series,
@@ -15,6 +17,8 @@ from dalg.series import (SeriesQ, apply_dpoly, newton_algebraic_series,
                          series_integrate, series_mul, series_sub,
                          solve_ode_series, verify_annihilator, witness,
                          witness_names)
+
+from oracles import DEFAULT_JETS, rand_poly, series_eval
 
 F = get_field("Q")
 FX = get_field("Q", has_x=True)
@@ -278,3 +282,66 @@ def test_verify_annihilator_updates_record():
     assert ann.series_certified and ann.residual_valuation == 12
     rec = verify_annihilator(ann, {"y1": wit}, N=6)
     assert rec["certified"] and rec["truncation"] == 5
+
+
+# ---------------------------------------------------------------------------
+# the ring kernel against plain field arithmetic
+
+def _const(rng, field):
+    """Random x-free element: a rational, with i and parameters when the
+    field has them."""
+    c = field.q(rng.randint(-5, 5), rng.randint(1, 4))
+    if field.desc.kind == "Qi":
+        c += field.i() * field.q(rng.randint(-3, 3), rng.randint(1, 3))
+    for name in field.desc.params:
+        c += field.param(name) * field.q(rng.randint(-2, 2))
+    return c
+
+
+def _oracle_valuation(P, wits, point):
+    """Check apply_dpoly and verify_annihilator against series_eval and
+    return the residual valuation."""
+    coeffs, N = series_eval(
+        P, {fam: (s.coeffs, s.N) for fam, s in wits.items()}, point)
+    assert apply_dpoly(P, wits) == SeriesQ(P.field, point, coeffs, N)
+    val = next((j for j, c in enumerate(coeffs) if c), N + 1)
+    rec = verify_annihilator(SimpleNamespace(poly=P), wits)
+    assert rec == {"certified": val == N + 1, "residual_valuation": val,
+                   "truncation": N}
+    return val, N
+
+
+@pytest.mark.parametrize("point", [Fraction(0), Fraction(1, 2)],
+                         ids=["0", "1/2"])
+@pytest.mark.parametrize("label", ["Q", "Qi", "Qi(c;)", "Q(a;x)", "Qi(a;x)"])
+def test_apply_dpoly_matches_field_oracle(label, point):
+    field = field_from_label(label)
+    rng = random.Random(f"{label}:{point}")
+    f = SeriesQ(field, point, [_const(rng, field) for _ in range(6)], 5)
+    wits = {(1, 1): f,
+            (1, 2): SeriesQ(field, point, [_const(rng, field)
+                                           for _ in range(7)], 6)}
+    # random polynomials are not annihilators: the residual is nonzero
+    for _ in range(4):
+        val, N = _oracle_valuation(rand_poly(rng, field, DEFAULT_JETS),
+                                   wits, point)
+        assert val <= N
+
+    # known annihilators: exp, exp(c x), and y2 = x^e * y1^2 + y1'
+    one = SeriesQ.constant(field, field.one, 6, point)
+    t = SeriesQ(field, point, [field.zero, field.one], 6)
+    exp = series_exp0(t)
+    known = [("y1' - y1", {(1, 1): exp})]
+    for name in field.desc.params:
+        cexp = series_exp0(series_mul(SeriesQ.constant(
+            field, field.param(name), 6, point), t))
+        known.append((f"y1' - {name}*y1", {(1, 1): cexp}))
+    xs, xe = one, ""
+    if field.desc.has_x:
+        xs, xe = series_add(t, SeriesQ.constant(
+            field, field.from_fraction(point), 6, point)), "x*"
+    g = series_add(series_mul(xs, series_mul(f, f)), series_derive(f))
+    known.append((f"y2 - {xe}y1^2 - y1'", {(1, 1): f, (1, 2): g}))
+    for text, wit in known:
+        val, N = _oracle_valuation(parse_poly(text, field), wit, point)
+        assert val == N + 1 and N >= 4, text

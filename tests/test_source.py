@@ -87,3 +87,29 @@ def test_no_orphaned_private_helpers_in_package():
              for path in sorted(SRC.glob("*.py"))}
     assert len(trees) > 10
     assert _orphaned_private(trees) == []
+
+
+def _floats(tree):
+    """(line, text) of each float literal and each float(...) call."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Constant) and isinstance(n.value, float):
+            found.append((n.lineno, repr(n.value)))
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+              and n.func.id == "float"):
+            found.append((n.lineno, "float()"))
+    return sorted(found)
+
+
+def test_float_helper_sees_literals_and_calls():
+    tree = ast.parse("a = 1.5\nb = float(a)\nc = 2\nd = [1e3]\n"
+                     "e = '0.5'\nf = 3 // 2\n")
+    assert _floats(tree) == [(1, "1.5"), (2, "float()"), (4, "1000.0")]
+
+
+def test_no_float_in_package():
+    # the package is exact: no float may enter a result path
+    found = {path.name: _floats(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(found) > 10
+    assert {name: hits for name, hits in found.items() if hits} == {}
