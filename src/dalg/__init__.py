@@ -14,29 +14,42 @@ entirely over exact coefficient fields.  The main entry points:
 - :mod:`dalg.bounds` — closed-form order/degree bounds and curves;
 - :mod:`dalg.series` — truncated power-series certification;
 - ``dalg`` console script — the command-line frontend (:mod:`dalg.cli`).
+
+Every name below is imported from its module on first access (PEP 562),
+so ``import dalg`` loads nothing else; plain-Q work never imports sympy
+(see :mod:`dalg.fields`).  ``dalg.resultant`` is the function
+:func:`dalg.resultant.resultant`, also after the submodule is imported.
 """
 
-from .bounds import (composition_bound, curve, div_bound, plus_times_bound,
-                     relation_experiment, sufficiency_k, theorem_bound)
-from .dpoly import DPoly, JetVar
-from .eliminate import (Annihilator, NotFoundAtK, NotFoundUpTo,
-                        composition_system, eliminate_search,
-                        find_annihilator, rational_system,
-                        sum_product_system)
-from .errors import (BudgetExceededError, DalgError, FieldError,
-                     HypothesisError, ParseError, WindowError)
-from .fields import Field, FieldDesc, field_from_label, get_field
-from .grammar import parse_poly, parse_system, poly_to_str, system_to_str
-from .hilbert import check_dregular, hf, hs_regular_closed_form
-from .resultant import (dp_div_exact, dp_gcd, elim_algebraic, elim_hyperexp,
-                        elim_x, prepare_primitive_separable, resultant,
-                        sylvester_matrix)
-from .series import (SeriesQ, apply_dpoly, newton_algebraic_series,
-                     series_arith, solve_ode_series, verify_annihilator,
-                     witness, witness_names)
-from .system import SystemSpec, family_label, prolong
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
+
+# the module each public name lives in
+_HOMES = {
+    "bounds": ("composition_bound", "curve", "div_bound", "plus_times_bound",
+               "relation_experiment", "sufficiency_k", "theorem_bound"),
+    "dpoly": ("DPoly", "JetVar"),
+    "eliminate": ("Annihilator", "NotFoundAtK", "NotFoundUpTo",
+                  "composition_system", "eliminate_search",
+                  "find_annihilator", "rational_system",
+                  "sum_product_system"),
+    "errors": ("BudgetExceededError", "DalgError", "FieldError",
+               "HypothesisError", "ParseError", "WindowError"),
+    "fields": ("Field", "FieldDesc", "field_from_label", "get_field"),
+    "grammar": ("parse_poly", "parse_system", "poly_to_str", "system_to_str"),
+    "hilbert": ("check_dregular", "hf", "hs_regular_closed_form"),
+    "resultant": ("dp_div_exact", "dp_gcd", "elim_algebraic", "elim_hyperexp",
+                  "elim_x", "prepare_primitive_separable", "resultant",
+                  "sylvester_matrix"),
+    "series": ("SeriesQ", "apply_dpoly", "newton_algebraic_series",
+               "series_arith", "solve_ode_series", "verify_annihilator",
+               "witness", "witness_names"),
+    "system": ("SystemSpec", "family_label", "prolong"),
+}
+_HOME_OF = {name: mod for mod, names in _HOMES.items() for name in names}
 
 __all__ = [
     "Annihilator", "BudgetExceededError", "DPoly", "DalgError", "Field",
@@ -54,3 +67,26 @@ __all__ = [
     "system_to_str", "theorem_bound", "verify_annihilator", "witness",
     "witness_names",
 ]
+
+
+def __getattr__(name):
+    mod = _HOME_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{mod}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(types.ModuleType):
+    """The package module.  Importing the submodule dalg.resultant binds
+    it as a package attribute; the function of that name is kept
+    instead, as an eager ``from .resultant import resultant`` did."""
+
+    def __setattr__(self, name, value):
+        if name == "resultant" and isinstance(value, types.ModuleType):
+            value = value.resultant
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -20,10 +20,34 @@ from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
-from sympy import integer_nthroot
-
 from .errors import DalgError, HypothesisError
-from .linalg import SparseEliminator
+
+
+def iroot(a, n):
+    """(floor(a^(1/n)), whether that root is exact) for integers a >= 0
+    and n >= 1.
+
+    Integer Newton steps x -> ((n-1)*x + a // x^(n-1)) // n fall strictly
+    from any start above the root down to its floor, where they stop.
+    The start is one more than the root of a's leading bits, shifted
+    back into place: it lies above the root and already carries about
+    half of its bits, so the steps converge quadratically instead of
+    creeping down from a power of two.
+    """
+    if a < 0 or n < 1:
+        raise DalgError("iroot needs a >= 0 and n >= 1")
+    if a < 2 or n == 1:
+        return a, True
+    shift = a.bit_length() // n // 2
+    if shift:
+        x = (iroot(a >> n * shift, n)[0] + 1) << shift
+    else:
+        x = 1 << -(-a.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + a // x ** (n - 1)) // n
+        if y >= x:
+            return x, x ** n == a
+        x = y
 
 
 def _validate(d, r_min, r_l, r):
@@ -59,7 +83,7 @@ def _display_6g(d, p, q, r):
     s = 0
     while True:
         a = (r + 1) * 10 ** s
-        root, exact = integer_nthroot(d ** p * a ** q, q)
+        root, exact = iroot(d ** p * a ** q, q)
         n = root - a
         if n == 0:
             return "0"
@@ -84,7 +108,7 @@ def theorem_bound(d, r_min, r_l, r):
     p, q = p // g, q // g
     # k + r + 1 > (d^p (r+1)^q)^(1/q) iff k + r + 1 > floor of that root;
     # the root is exact whenever d^(p/q) is an integer, as when q = 1
-    root, exact = integer_nthroot(d ** p * (r + 1) ** q, q)
+    root, exact = iroot(d ** p * (r + 1) ** q, q)
     if exact:
         t = Fraction(root - (r + 1))
         return ThresholdBound(k_min=root - r, exact=True,
@@ -239,6 +263,7 @@ def _relation_exists(polys, n, d, k):
     """Nonzero F of total degree <= k with F(p_0..p_n) = 0?"""
     cols = {m: i for i, m in enumerate(_monomials_upto(n, k * d))}
     wmonos = sorted(_monomials_upto(n + 1, k), key=lambda m: (sum(m), m))
+    from .linalg import SparseEliminator
     products = {}
     nrows = 0
     elim = SparseEliminator(len(cols))

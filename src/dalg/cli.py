@@ -29,17 +29,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import bounds as _bounds
-from .eliminate import (Annihilator, composition_system, eliminate_search,
-                        rational_system, sum_product_system)
 from .errors import BudgetExceededError, DalgError, HypothesisError
-from .fields import field_from_label
-from .grammar import parse_poly, parse_system
-from .hilbert import check_dregular
-from .linalg import budget_limit
-from .resultant import elim_algebraic, elim_hyperexp, elim_x
-from .series import apply_dpoly, verify_annihilator, witness
-from .system import family_label
+
+# Each handler imports the modules it needs, so a subcommand loads only
+# those; bound and curve need neither sympy nor the polynomial layers.
 
 _DEFAULT_FMT = {
     "bound": "text",
@@ -108,6 +101,7 @@ def _need(args, names, mode):
 
 
 def cmd_bound(cfg, args):
+    from . import bounds as _bounds
     if args.thm:
         _need(args, ["d", "rmin", "rl", "r"], "thm")
         mode = "thm"
@@ -194,6 +188,7 @@ print(out)
 
 
 def cmd_curve(cfg, args):
+    from . import bounds as _bounds
     pts = _bounds.curve(args.d, args.rmin, args.rl, args.r_from, args.r_to)
     csv_text = _bounds.curve_to_csv(pts)
     payload = {"d": args.d, "r_min": args.rmin, "r_l": args.rl,
@@ -212,6 +207,7 @@ def cmd_curve(cfg, args):
 # eliminate
 
 def _parse_witnesses(specs, n, point):
+    from .series import witness
     wit = {}
     for s in specs or []:
         label, eq, name = s.partition("=")
@@ -223,6 +219,7 @@ def _parse_witnesses(specs, n, point):
 
 
 def _components(texts, field):
+    from .grammar import parse_poly
     comps = []
     for i, text in enumerate(texts, start=1):
         p = parse_poly(text, field)
@@ -254,6 +251,13 @@ def _notfound_text(res):
 
 
 def cmd_eliminate(cfg, args):
+    from .eliminate import (Annihilator, composition_system,
+                            eliminate_search, rational_system,
+                            sum_product_system)
+    from .fields import field_from_label
+    from .grammar import parse_poly, parse_system
+    from .series import verify_annihilator
+    from .system import family_label
     presets = [args.sum, args.prod, args.div, args.compose,
                args.raw is not None]
     if sum(bool(f) for f in presets) != 1:
@@ -312,6 +316,10 @@ def cmd_eliminate(cfg, args):
 # reselim
 
 def cmd_reselim(cfg, args):
+    from .fields import field_from_label
+    from .grammar import parse_poly
+    from .resultant import elim_algebraic, elim_hyperexp, elim_x
+    from .series import verify_annihilator
     modes = [args.alg, args.hyperexp, args.elimx]
     if sum(bool(f) for f in modes) != 1:
         raise DalgError("choose exactly one of --alg, --hyperexp, --elimx")
@@ -342,11 +350,13 @@ def cmd_reselim(cfg, args):
 # hilbert / checkdreg
 
 def _load_system(path):
+    from .grammar import parse_system
     with open(path, encoding="utf-8") as fh:
         return parse_system(fh.read())
 
 
 def cmd_hilbert(cfg, args):
+    from .hilbert import check_dregular
     system = _load_system(args.system)
     rep = check_dregular(system, args.rho, cutoff=args.cutoff)
     prof = rep.profile
@@ -362,6 +372,7 @@ def cmd_hilbert(cfg, args):
 
 
 def cmd_checkdreg(cfg, args):
+    from .hilbert import check_dregular
     system = _load_system(args.system)
     rep = check_dregular(system, args.rho, cutoff=args.cutoff)
     failure = rep.regseq.failure()
@@ -389,6 +400,9 @@ def cmd_checkdreg(cfg, args):
 # verify / experiment
 
 def cmd_verify(cfg, args):
+    from .fields import field_from_label
+    from .grammar import parse_poly
+    from .series import apply_dpoly
     field = field_from_label(args.field)
     p = parse_poly(args.poly, field)
     wit = _parse_witnesses(args.witness, args.trunc, Fraction(args.point))
@@ -405,6 +419,7 @@ def cmd_verify(cfg, args):
 
 
 def cmd_experiment(cfg, args):
+    from . import bounds as _bounds
     rep = _bounds.relation_experiment(args.n, args.d, args.seed)
     payload = rep.to_json()
     text = (f"n={rep.n} d={rep.d} seed={rep.seed} "
@@ -552,8 +567,11 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     cfg = RunConfig.from_args(args)
-    budget = contextlib.nullcontext() if cfg.budget is None \
-        else budget_limit(cfg.budget)
+    if cfg.budget is None:
+        budget = contextlib.nullcontext()
+    else:
+        from .linalg import budget_limit
+        budget = budget_limit(cfg.budget)
     try:
         with budget:
             out, code = args.func(cfg, args)

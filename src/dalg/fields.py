@@ -10,8 +10,10 @@ A coefficient lives in one of:
 and the three ingredients combine freely: the Gaussian extension, the
 parameter list and the presence of x are independent switches.  Elements
 are kept in canonical form (fractions fully reduced, denominator
-sign-normalized), which we get by storing them as sympy domain elements:
-gmpy-backed rationals, GaussianRational, or FracElement over those.
+sign-normalized).  Over plain Q they are fractions.Fraction, with ints
+as the ring, and sympy is not imported at all.  Every other field stores
+sympy domain elements (GaussianRational, or FracElement over QQ or
+QQ_I), and sympy is imported when the first such field is built.
 
 Only x has a nonzero derivative (x' = 1); parameters are constants.
 
@@ -26,9 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
-from sympy.polys.domains import QQ, QQ_I
+from math import gcd, lcm
 
 from .errors import FieldError, HypothesisError
 
@@ -91,24 +91,30 @@ class FieldDesc:
 class Field:
     """A concrete coefficient field.  Obtain instances via get_field().
 
-    Coefficients are raw sympy domain elements and support +, -, *, /
-    directly; this class supplies construction, derivation, x-structure
-    queries and canonical printing.
+    Coefficients support +, -, *, / directly: Fractions over plain Q,
+    raw sympy domain elements otherwise.  This class supplies
+    construction, derivation, x-structure queries and canonical printing.
     """
 
     def __init__(self, desc: FieldDesc):
         self.desc = desc
-        base = QQ_I if desc.kind == "Qi" else QQ
-        self.base = base
+        self.gaussian = desc.kind == "Qi"
         names = (("x",) if desc.has_x else ()) + desc.params
         self._names = names
-        if names:
-            syms = tuple(sympy.Symbol(n) for n in names)
-            self.domain = base.frac_field(*syms)
-            self._gens = dict(zip(names, self.domain.gens))
+        self._gens = {}
+        if plain_q(self):
+            self.base = self.domain = RATIONALS
+            self._qq = None
         else:
-            self.domain = base
-            self._gens = {}
+            import sympy
+            from sympy.polys.domains import QQ, QQ_I
+            self._qq = QQ
+            self.base = QQ_I if self.gaussian else QQ
+            self.domain = self.base
+            if names:
+                syms = tuple(sympy.Symbol(n) for n in names)
+                self.domain = self.base.frac_field(*syms)
+                self._gens = dict(zip(names, self.domain.gens))
         self.zero = self.domain.zero
         self.one = self.domain.one
 
@@ -124,8 +130,9 @@ class Field:
     # -- construction -------------------------------------------------
 
     def q(self, num, den=1):
-        c = QQ(num, den)
-        return self.domain.convert(c, QQ)
+        if self._qq is None:
+            return Fraction(num, den)
+        return self.domain.convert(self._qq(num, den), self._qq)
 
     def from_fraction(self, fr):
         return self.q(fr.numerator, fr.denominator)
@@ -133,7 +140,8 @@ class Field:
     def i(self):
         if self.desc.kind != "Qi":
             raise FieldError("i is only available over Q(i)")
-        return self.domain.convert(QQ_I.new(QQ(0), QQ(1)), QQ_I)
+        return self.domain.convert(self.base.new(self._qq(0), self._qq(1)),
+                                   self.base)
 
     def param(self, name):
         if name not in self.desc.params:
@@ -162,14 +170,14 @@ class Field:
 
     def is_rational(self, c):
         if not self._names:
-            return self.base == QQ or c.y == 0
+            return not self.gaussian or c.y == 0
         den = self._ground_const(c.denom)
         if den is None or not den:
             return False
         num = self._ground_const(c.numer)
         if num is None:
             return False
-        return self.base == QQ or (num / den).y == 0
+        return not self.gaussian or (num / den).y == 0
 
     def as_fraction(self, c):
         """Exact Fraction value of a rational coefficient."""
@@ -181,7 +189,7 @@ class Field:
             coef = num / den
         else:
             coef = c
-        if self.base == QQ_I:
+        if self.gaussian:
             if coef.y != 0:
                 raise FieldError("coefficient is not rational")
             coef = coef.x
@@ -243,7 +251,8 @@ class Field:
             return c
         ring = self.domain.field.ring
         pt = Fraction(point)
-        val = self.base.convert(QQ(pt.numerator, pt.denominator), QQ)
+        val = self.base.convert(self._qq(pt.numerator, pt.denominator),
+                                self._qq)
 
         def subst(poly):
             out = ring.zero
@@ -275,7 +284,7 @@ class Field:
         return 1, f"({body})"
 
     def _coef_str(self, coef):
-        if self.base == QQ_I:
+        if self.gaussian:
             return self._gauss_str(coef)
         return (1 if coef >= 0 else -1), _rat_str(abs(coef))
 
@@ -362,18 +371,80 @@ def plain_q(field):
                              and not field.desc.has_x)
 
 
+class _Integers:
+    """The ring of plain Q: Python ints, with the methods dalg calls on a
+    sympy ring domain."""
+
+    zero, one = 0, 1
+    gcd = staticmethod(gcd)
+    lcm = staticmethod(lcm)
+
+    @staticmethod
+    def canonical_unit(a):
+        return -1 if a < 0 else 1
+
+    @staticmethod
+    def get_field():
+        return RATIONALS
+
+
+class _Rationals:
+    """Plain Q: Fractions, with the methods dalg calls on a sympy field
+    domain.  convert_from takes an int of INTEGERS or a Fraction."""
+
+    zero, one = Fraction(0), Fraction(1)
+
+    @staticmethod
+    def convert_from(a, K):
+        return a if K is RATIONALS else Fraction(a)
+
+    @staticmethod
+    def of_type(a):
+        return isinstance(a, Fraction)
+
+    @staticmethod
+    def numer(a):
+        return a.numerator
+
+    @staticmethod
+    def denom(a):
+        return a.denominator
+
+
+INTEGERS, RATIONALS = _Integers(), _Rationals()
+
+
 def ring_of(field):
     """(R, F): the ring whose elements rows hold, and the field over it.
 
-    F is the field's sympy domain (QQ when there is no field).  R is ZZ
-    for Q, ZZ_I for Q(i), and with parameters or x the polynomial ring
-    in those names over ZZ or ZZ_I.  (F.get_ring() would have a field as
-    its ground, whose gcd and lcm of constants are 1.)
+    Over plain Q (also when there is no field) they are INTEGERS and
+    RATIONALS, ints and Fractions.  Otherwise F is the field's sympy
+    domain and R is ZZ_I for Q(i), and with parameters or x the
+    polynomial ring in those names over ZZ or ZZ_I.  (F.get_ring() would
+    have a field as its ground, whose gcd and lcm of constants are 1.)
     """
-    F = QQ if field is None else field.domain
+    if plain_q(field):
+        return INTEGERS, RATIONALS
+    F = field.domain
     if F.is_FractionField:
         return F.domain.get_ring().poly_ring(*F.symbols), F
     return F.get_ring(), F
+
+
+def sympy_domain(field):
+    """(D, into, back): the sympy domain D whose elements stand for the
+    field's coefficients in a sympy polynomial ring, and the maps into D
+    and back.  Only plain Q converts, between Fraction and QQ; sympy is
+    imported here for it."""
+    if not plain_q(field):
+        return field.domain, _same, _same
+    from sympy.polys.domains import QQ
+    return (QQ, lambda c: QQ(c.numerator, c.denominator),
+            lambda c: Fraction(int(c.numerator), int(c.denominator)))
+
+
+def _same(c):
+    return c
 
 
 def common_denominator(R, F, values):

@@ -210,8 +210,8 @@ class SparseEliminator:
         the denominator it was last written over and is brought up to
         the current one when it is next read, so a divisor costs nothing
         for the weights it does not reach.  Coefficients are elements of
-        the field (QQ over plain Q), each divided once at the end; tags
-        whose coefficients cancel are left out.
+        the field (Fractions over plain Q), each divided once at the end;
+        tags whose coefficients cancel are left out.
         """
         if self.trails[i] is None:
             return None

@@ -4,20 +4,19 @@ elimination of x.  Each elimination asserts its closed-form degree
 bounds at runtime and reports them alongside the result.
 
 Multivariate gcd and exact division are delegated to sympy's sparse
-polynomial rings; this module owns the Sylvester layout, the
-fraction-free determinant, and the elimination constructions.
+polynomial rings, which are built (and sympy imported) on first use;
+this module owns the Sylvester layout, the fraction-free determinant,
+and the elimination constructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy.polys.polyerrors import ExactQuotientFailed
-from sympy.polys.rings import ring as _sympy_ring
-
 from .dpoly import DPoly, JetVar, var_key
 from .eliminate import Annihilator
 from .errors import DalgError, HypothesisError
+from .fields import sympy_domain
 from .system import family_label
 
 
@@ -28,24 +27,27 @@ _RING_CACHE = {}
 
 
 def _ring_for(field, varkeys, with_coeff_gens):
-    """PolyRing over the coefficient field (or its base, with x/params
-    as extra generators when with_coeff_gens is set)."""
+    """(R, pos, ncoef, into, back): a PolyRing R over the coefficient
+    field (or its base, with x/params as the ncoef leading generators
+    when with_coeff_gens is set), the position of each jet variable, and
+    the maps of coefficients into R's domain and back."""
     key = (field.desc, tuple(varkeys), with_coeff_gens)
     hit = _RING_CACHE.get(key)
     if hit is not None:
         return hit
+    from sympy.polys.rings import ring
     jet_names = [f"j{f}_{i}_{o}" for f, i, o in varkeys]
+    dom, into, back = sympy_domain(field)
     if with_coeff_gens:
         names = list(field._names) + jet_names
         dom = field.base
     else:
         names = jet_names
-        dom = field.domain
-    R = _sympy_ring(",".join(names), dom)[0] if names else None
-    if R is None:
+    if not names:
         raise DalgError("internal error: empty variable set for ring bridge")
-    info = (R, {vk: pos for pos, vk in enumerate(varkeys)}, len(field._names)
-            if with_coeff_gens else 0)
+    info = (ring(",".join(names), dom)[0],
+            {vk: pos for pos, vk in enumerate(varkeys)},
+            len(field._names) if with_coeff_gens else 0, into, back)
     _RING_CACHE[key] = info
     return info
 
@@ -58,10 +60,11 @@ def _poly_varkeys(*polys):
     return sorted(keys)
 
 
-def _to_sym(p: DPoly, R, pos, ncoef):
-    """DPoly -> PolyElement.  With ncoef > 0 the coefficient's numerator
-    exponents are spliced in front of the jet exponents (denominators
-    must be ground)."""
+def _to_sym(p: DPoly, info):
+    """DPoly -> PolyElement of the ring of info (see _ring_for).  With
+    ncoef > 0 the coefficient's numerator exponents are spliced in front
+    of the jet exponents (denominators must be ground)."""
+    R, pos, ncoef, into, _ = info
     field = p.field
     nv = ncoef + len(pos)
     data = {}
@@ -70,7 +73,7 @@ def _to_sym(p: DPoly, R, pos, ncoef):
         for k, e in m:
             jet[pos[k]] = e
         if ncoef == 0:
-            data[tuple(jet)] = data.get(tuple(jet), R.domain.zero) + c
+            data[tuple(jet)] = data.get(tuple(jet), R.domain.zero) + into(c)
             continue
         numer, denom = c.numer, c.denom
         if not denom.is_ground:
@@ -83,13 +86,14 @@ def _to_sym(p: DPoly, R, pos, ncoef):
     return R.from_dict({e: c for e, c in data.items() if c})
 
 
-def _from_sym(q, field, varkeys, ncoef):
+def _from_sym(q, field, varkeys, info):
     """PolyElement -> DPoly (inverse of _to_sym on the same ring)."""
+    _, _, ncoef, _, back = info
     terms = {}
     if ncoef == 0:
         for exp, c in q.iterterms():
             mono = tuple(sorted((vk, e) for vk, e in zip(varkeys, exp) if e))
-            terms[mono] = terms.get(mono, field.zero) + c
+            terms[mono] = terms.get(mono, field.zero) + back(c)
     else:
         frac = field.domain.one.field
         ring = frac.ring
@@ -111,12 +115,13 @@ def dp_div_exact(a: DPoly, b: DPoly) -> DPoly:
     varkeys = _poly_varkeys(a, b)
     if not varkeys:
         return DPoly.const(field, a.constant_coeff() / b.constant_coeff())
-    R, pos, _ = _ring_for(field, varkeys, False)
+    from sympy.polys.polyerrors import ExactQuotientFailed
+    info = _ring_for(field, varkeys, False)
     try:
-        q = _to_sym(a, R, pos, 0).exquo(_to_sym(b, R, pos, 0))
+        q = _to_sym(a, info).exquo(_to_sym(b, info))
     except ExactQuotientFailed:
         raise DalgError("inexact polynomial division")
-    return _from_sym(q, field, varkeys, 0)
+    return _from_sym(q, field, varkeys, info)
 
 
 def dp_gcd(a: DPoly, b: DPoly) -> DPoly:
@@ -134,13 +139,9 @@ def dp_gcd(a: DPoly, b: DPoly) -> DPoly:
     varkeys = _poly_varkeys(a, b)
     if not field._names and not varkeys:
         return DPoly.one(field)
-    if not field._names:
-        R, pos, _ = _ring_for(field, varkeys, False)
-        g = _to_sym(a, R, pos, 0).gcd(_to_sym(b, R, pos, 0))
-        return _from_sym(g, field, varkeys, 0).normalize()
-    R, pos, ncoef = _ring_for(field, varkeys, True)
-    g = _to_sym(a, R, pos, ncoef).gcd(_to_sym(b, R, pos, ncoef))
-    return _from_sym(g, field, varkeys, ncoef).normalize()
+    info = _ring_for(field, varkeys, bool(field._names))
+    g = _to_sym(a, info).gcd(_to_sym(b, info))
+    return _from_sym(g, field, varkeys, info).normalize()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ polynomials in the parameters and x otherwise): jets and coefficients
 are numerators in R over one common denominator, so no sum or product
 takes a gcd of fractions.  verify_annihilator tests a residual by its
 numerators alone; apply_dpoly divides once at the end.  Only the
-inversions of the series solvers (_linv) work over the field.
+series solvers work over the field: solve_ode_series divides once per
+coefficient it fixes, newton_algebraic_series inverts with _linv.
 """
 
 from __future__ import annotations
@@ -384,11 +385,11 @@ def _to_field(field, nums, den):
     return [v / d if v else v for v in vals]
 
 
-def _jets(field, series, pad=False):
+def _jets(field, series):
     """(jets, den) of field lists, as numerators in the ring over one
     common denominator den.  series maps (fam, idx) to (coefficients, r):
     jets[(fam, idx)] holds the coefficients and their first r
-    derivatives, with pad each padded with zeros to the full length."""
+    derivatives."""
     R, F = ring_of(field)
     nums, den = common_denominator(
         R, F, [c for cs, _ in series.values() for c in cs])
@@ -397,8 +398,7 @@ def _jets(field, series, pad=False):
         ladder = [nums[pos:pos + len(cs)]]
         pos += len(cs)
         for _ in range(r):
-            d = _lderive(ladder[-1])
-            ladder.append(d + [R.zero] if pad else d)
+            ladder.append(_lderive(ladder[-1]))
         jets[fam] = ladder
     return jets, den
 
@@ -486,24 +486,34 @@ def solve_ode_series(P: DPoly, initial, N, point=0) -> SeriesQ:
             f[j] = c / field.q(factorial(j))
 
     R = ring_of(field)[0]
-    a_coeffs, b_coeffs = _coefficients(A, point, n), None
-    # f^(r) = -B/A gives f_j = (j - r)!/j! * (-B/A)_(j - r) for j >= r
-    ratios = [field.q(factorial(j - r), factorial(j)) for j in range(r, n)]
-    for _ in range(max(N - r + 2, 2)):
-        jets, den = _jets(field, {fam: (f, r - 1)}, pad=True)
-        a_vals = _to_field(field, *_eval_terms(R, a_coeffs, jets, den, n))
-        if b_coeffs is None:
-            if field.is_zero(a_vals[0]):
-                raise HypothesisError(
-                    "leading coefficient vanishes on the initial jets; the "
-                    "series is not determined")
-            b_coeffs = _coefficients(B, point, n)
-        b_vals = _to_field(field, *_eval_terms(R, b_coeffs, jets, den, n))
-        top_vals = _lmul(_lneg(b_vals), _linv(field, a_vals), n, field.zero)
-        new = f[:r] + [v * q for v, q in zip(top_vals, ratios)]
-        if new == f:
-            break
-        f = new
+
+    def last(coefficients, m):
+        """Coefficient m - 1 of a polynomial in jets below order r
+        evaluated on f; it reads f[:r + m - 1] only."""
+        jets, den = _jets(field, {fam: (f[:r + m - 1], r - 1)})
+        nums, vden = _eval_terms(R, coefficients, jets, den, m)
+        return _to_field(field, nums[-1:], vden)[0]
+
+    a_coeffs = _coefficients(A, point, n)
+    a_vals = [last(a_coeffs, 1)]
+    if field.is_zero(a_vals[0]):
+        raise HypothesisError(
+            "leading coefficient vanishes on the initial jets; the series "
+            "is not determined")
+    b_coeffs = _coefficients(B, point, n)
+    # f^(r) = q = -B/A gives f_(r+t) = t!/(r+t)! * q_t, and A*q = -B gives
+    # q_t = -(B_t + sum_(i<t) A_(t-i) q_i) / A_0.  A and B take jets below
+    # order r only, so A_t and B_t need f[:r + t]: step t fixes f[r + t]
+    # from the steps before it.
+    q = []
+    for t in range(n - r):
+        if t:
+            a_vals.append(last(a_coeffs, t + 1))
+        acc = last(b_coeffs, t + 1)
+        for i, qi in enumerate(q):
+            acc = acc + a_vals[t - i] * qi
+        q.append(-acc / a_vals[0])
+        f[r + t] = q[t] * field.q(factorial(t), factorial(r + t))
     return SeriesQ(field, point, f, N)
 
 

@@ -1,13 +1,14 @@
 """Closed-form degree bounds, the order/degree curve, and the seeded
 random-relation experiment."""
 
+import random
 from math import comb
 
 import pytest
 
 from dalg.bounds import (composition_bound, curve, curve_to_csv, div_bound,
-                         plus_times_bound, relation_experiment, sufficiency_k,
-                         theorem_bound)
+                         iroot, plus_times_bound, relation_experiment,
+                         sufficiency_k, theorem_bound)
 from dalg.errors import DalgError
 
 
@@ -50,6 +51,30 @@ def test_fractional_exponent_is_integer_exact():
                     assert (k + r + 1) ** q > d ** p * (r + 1) ** q
                     if k > 1:
                         assert (k - 1 + r + 1) ** q <= d ** p * (r + 1) ** q
+
+
+def test_iroot_matches_sympy_on_grid():
+    # sympy is the reference here only; dalg.bounds does not import it
+    from sympy import integer_nthroot
+    rng = random.Random(31)
+    bases = list(range(40)) + [rng.getrandbits(b) for b in (20, 64, 170)]
+    cases = [(b ** n + e, n) for n in range(1, 13) for b in bases
+             for e in (-1, 0, 1) if b ** n + e >= 0]
+    # operands of about 2000 bits, as in the r_min = 700 bound cases,
+    # perfect powers among them, and roots of a few bits for large n
+    for n in (1, 2, 3, 5, 7, 12, 350, 700, 2100):
+        for _ in range(4):
+            a = rng.getrandbits(2000) | 1 << 1999
+            cases += [(a, n), (a + 1, n), (a - 1, n)]
+        r = rng.getrandbits(max(1, 2000 // n))
+        cases += [(r ** n + e, n) for e in (-1, 0, 1) if r ** n + e >= 0]
+    cases += [(10 ** 702 * 702 ** 2, 2), (7 ** 703 * 706 ** 6, 6)]
+    for a, n in cases:
+        assert iroot(a, n) == integer_nthroot(a, n), (a, n)
+    with pytest.raises(DalgError):
+        iroot(-1, 2)
+    with pytest.raises(DalgError):
+        iroot(4, 0)
 
 
 def _counting(d, r_min, r_l, r):
