@@ -11,11 +11,12 @@ Subcommands expose every public operation with JSON/CSV/text output:
   verify      truncated-series residual check of a polynomial against witnesses
   experiment  seeded random search for the first algebraic-relation degree
 
-Exit codes: 0 success; 2 usage or parse error; 3 matrix budget exceeded;
-4 search exhausted with nothing found; 5 hypothesis violation.
+Exit codes: 0 success; 2 usage or parse error, or a missing module (sympy
+for Q(i), parameter and x fields); 3 matrix budget exceeded; 4 search
+exhausted with nothing found; 5 hypothesis violation.
 
-A run is fully determined by its resolved RunConfig: identical configs
-produce byte-identical stdout.  JSON payloads validate against the
+A run is fully determined by its arguments: identical arguments produce
+byte-identical stdout.  JSON payloads validate against the
 schemas shipped under schemas/ inside the package.
 """
 
@@ -26,7 +27,6 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, DalgError, HypothesisError
@@ -45,24 +45,6 @@ _DEFAULT_FMT = {
     "experiment": "json",
 }
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation; equal configs yield byte-identical output."""
-    subcommand: str
-    fmt: str
-    budget: int | None
-    options: tuple
-
-    @staticmethod
-    def from_args(args):
-        skip = {"subcommand", "format", "budget"}
-        opts = tuple(sorted(
-            (k, str(v)) for k, v in vars(args).items()
-            if k not in skip and v is not None and not callable(v)))
-        fmt = args.format or _DEFAULT_FMT[args.subcommand]
-        return RunConfig(subcommand=args.subcommand, fmt=fmt,
-                         budget=args.budget, options=opts)
-
 
 def schema_path(subcommand):
     """Filesystem path of the published JSON schema for a subcommand."""
@@ -79,16 +61,16 @@ def _emit_json(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _pick(cfg, *, json_obj=None, csv_text=None, text=None):
-    """Render the payload in the requested format or reject it."""
-    if cfg.fmt == "json" and json_obj is not None:
+def _pick(fmt, args, *, json_obj=None, csv_text=None, text=None):
+    """Render the payload in the resolved format or reject it."""
+    if fmt == "json" and json_obj is not None:
         return _emit_json(json_obj)
-    if cfg.fmt == "csv" and csv_text is not None:
+    if fmt == "csv" and csv_text is not None:
         return csv_text
-    if cfg.fmt == "text" and text is not None:
+    if fmt == "text" and text is not None:
         return text
     raise DalgError(
-        f"format {cfg.fmt!r} is not supported by subcommand {cfg.subcommand!r}")
+        f"format {fmt!r} is not supported by subcommand {args.subcommand!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +82,7 @@ def _need(args, names, mode):
             raise DalgError(f"--{n} is required with --{mode}")
 
 
-def cmd_bound(cfg, args):
+def cmd_bound(fmt, args):
     from . import bounds as _bounds
     if args.thm:
         _need(args, ["d", "rmin", "rl", "r"], "thm")
@@ -139,7 +121,8 @@ def cmd_bound(cfg, args):
         line = (f"threshold={k_min - 1}  k_min={k_min}  sufficiency_k=-\n")
         csv_text = ("mode,threshold,k_min,sufficiency_k\n"
                     f"comp,{k_min - 1},{k_min},\n")
-        return _pick(cfg, json_obj=payload, text=line, csv_text=csv_text), 0
+        return _pick(fmt, args,
+                     json_obj=payload, text=line, csv_text=csv_text), 0
 
     payload = {"mode": mode, "params": params, "threshold": tb.display,
                "threshold_exact": tb.exact, "k_min": tb.k_min,
@@ -147,7 +130,7 @@ def cmd_bound(cfg, args):
     line = f"threshold={tb.display}  k_min={tb.k_min}  sufficiency_k={suff}\n"
     csv_text = ("mode,threshold,k_min,sufficiency_k\n"
                 f"{mode},{tb.display},{tb.k_min},{suff}\n")
-    return _pick(cfg, json_obj=payload, text=line, csv_text=csv_text), 0
+    return _pick(fmt, args, json_obj=payload, text=line, csv_text=csv_text), 0
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +170,7 @@ print(out)
 '''
 
 
-def cmd_curve(cfg, args):
+def cmd_curve(fmt, args):
     from . import bounds as _bounds
     pts = _bounds.curve(args.d, args.rmin, args.rl, args.r_from, args.r_to)
     csv_text = _bounds.curve_to_csv(pts)
@@ -200,7 +183,8 @@ def cmd_curve(cfg, args):
     if args.plot_script:
         with open(args.plot_script, "w", encoding="utf-8") as fh:
             fh.write(_PLOT_SCRIPT)
-    return _pick(cfg, json_obj=payload, csv_text=csv_text, text=csv_text), 0
+    return _pick(fmt, args,
+                 json_obj=payload, csv_text=csv_text, text=csv_text), 0
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +234,7 @@ def _notfound_text(res):
     return f"no annihilator up to k_max={res.k_max}; tried {tried}\n"
 
 
-def cmd_eliminate(cfg, args):
+def cmd_eliminate(fmt, args):
     from .eliminate import (Annihilator, composition_system,
                             eliminate_search, rational_system,
                             sum_product_system)
@@ -304,18 +288,19 @@ def cmd_eliminate(cfg, args):
     res = eliminate_search(system, target, args.r, args.kmax)
     if not isinstance(res, Annihilator):
         payload = res.to_json()
-        return _pick(cfg, json_obj=payload, text=_notfound_text(res)), 4
+        return _pick(fmt, args, json_obj=payload, text=_notfound_text(res)), 4
 
     wit = _parse_witnesses(args.witness, args.trunc, point)
     if wit:
         verify_annihilator(res, wit)
-    return _pick(cfg, json_obj=res.to_json(), text=_annihilator_text(res)), 0
+    return _pick(fmt, args,
+                 json_obj=res.to_json(), text=_annihilator_text(res)), 0
 
 
 # ---------------------------------------------------------------------------
 # reselim
 
-def cmd_reselim(cfg, args):
+def cmd_reselim(fmt, args):
     from .fields import field_from_label
     from .grammar import parse_poly
     from .resultant import elim_algebraic, elim_hyperexp, elim_x
@@ -343,7 +328,8 @@ def cmd_reselim(cfg, args):
     wit = _parse_witnesses(args.witness, args.trunc, Fraction(args.point))
     if wit:
         verify_annihilator(ann, wit)
-    return _pick(cfg, json_obj=ann.to_json(), text=_annihilator_text(ann)), 0
+    return _pick(fmt, args,
+                 json_obj=ann.to_json(), text=_annihilator_text(ann)), 0
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +341,7 @@ def _load_system(path):
         return parse_system(fh.read())
 
 
-def cmd_hilbert(cfg, args):
+def cmd_hilbert(fmt, args):
     from .hilbert import check_dregular
     system = _load_system(args.system)
     rep = check_dregular(system, args.rho, cutoff=args.cutoff)
@@ -368,10 +354,11 @@ def cmd_hilbert(cfg, args):
     payload = {"rho": rep.rho, "cutoff": rep.cutoff, "regular": rep.regular,
                "rows": rows}
     csv_text = prof.to_csv()
-    return _pick(cfg, json_obj=payload, csv_text=csv_text, text=csv_text), 0
+    return _pick(fmt, args,
+                 json_obj=payload, csv_text=csv_text, text=csv_text), 0
 
 
-def cmd_checkdreg(cfg, args):
+def cmd_checkdreg(fmt, args):
     from .hilbert import check_dregular
     system = _load_system(args.system)
     rep = check_dregular(system, args.rho, cutoff=args.cutoff)
@@ -393,13 +380,13 @@ def cmd_checkdreg(cfg, args):
             f"expected_dimension={rep.expected_dimension} "
             f"fitted_degree={rep.fitted_degree}\n")
     code = 0 if rep.regular else 5
-    return _pick(cfg, json_obj=payload, text=text), code
+    return _pick(fmt, args, json_obj=payload, text=text), code
 
 
 # ---------------------------------------------------------------------------
 # verify / experiment
 
-def cmd_verify(cfg, args):
+def cmd_verify(fmt, args):
     from .fields import field_from_label
     from .grammar import parse_poly
     from .series import apply_dpoly
@@ -415,17 +402,17 @@ def cmd_verify(cfg, args):
     text = (f"certified={payload['certified']} "
             f"residual_valuation={payload['residual_valuation']} "
             f"truncation={payload['truncation']}\n")
-    return _pick(cfg, json_obj=payload, text=text), 0
+    return _pick(fmt, args, json_obj=payload, text=text), 0
 
 
-def cmd_experiment(cfg, args):
+def cmd_experiment(fmt, args):
     from . import bounds as _bounds
     rep = _bounds.relation_experiment(args.n, args.d, args.seed)
     payload = rep.to_json()
     text = (f"n={rep.n} d={rep.d} seed={rep.seed} "
             f"k_observed={rep.k_observed} k_counting={rep.k_counting} "
             f"k_theorem_bound={rep.k_theorem_bound}\n")
-    return _pick(cfg, json_obj=payload, text=text), 0
+    return _pick(fmt, args, json_obj=payload, text=text), 0
 
 
 # ---------------------------------------------------------------------------
@@ -566,22 +553,22 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = RunConfig.from_args(args)
-    if cfg.budget is None:
+    fmt = args.format or _DEFAULT_FMT[args.subcommand]
+    if args.budget is None:
         budget = contextlib.nullcontext()
     else:
         from .linalg import budget_limit
-        budget = budget_limit(cfg.budget)
+        budget = budget_limit(args.budget)
     try:
         with budget:
-            out, code = args.func(cfg, args)
+            out, code = args.func(fmt, args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except (DalgError, OSError) as exc:
+    except (DalgError, OSError, ModuleNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(out)

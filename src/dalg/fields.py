@@ -218,16 +218,6 @@ class Field:
             raise HypothesisError("coefficient has x in its denominator")
         return self._xdeg(c.numer)
 
-    def total_degree(self, c):
-        """Total degree of the numerator in x and all parameters."""
-        if not self._names:
-            return 0
-        if self._ground_const(c.denom) is None:
-            raise HypothesisError("coefficient is not polynomial")
-        if not c.numer:
-            return 0
-        return max(sum(mon) for mon in c.numer.monoms())
-
     def as_x_poly(self, c):
         """Coefficient list [c_0, ..., c_d] with c = sum c_e * x^e and
         every c_e free of x.  Requires an x-free denominator."""

@@ -19,27 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .dpoly import DPoly, JetVar, mono_mul, var_key
+from .dpoly import JetVar, var_key
 from .errors import DalgError, WindowError
 from .linalg import MacaulayLayers, modp_rank, monomial_count
 from .system import prolong
 
 
-def ring_vars(polys, include_s=True):
+def ring_vars(polys):
     """Ordered ring variables for a set of polynomials: s plus every jet
     family filled from order 0 up to its maximum occurring order."""
     fams = {}
-    has_s = False
     for p in polys:
         for m in p.terms:
             for (fam, idx, order), _ in m:
-                if fam == 0:
-                    has_s = True
-                else:
+                if fam:
                     fams[(fam, idx)] = max(fams.get((fam, idx), 0), order)
-    keys = []
-    if include_s or has_s:
-        keys.append(JetVar.s().key)
+    keys = [JetVar.s().key]
     for (fam, idx), top in sorted(fams.items()):
         keys.extend((fam, idx, j) for j in range(top + 1))
     return sorted(keys)
@@ -61,33 +56,6 @@ def _validate_gens(gens, varkeys):
                 if k not in vset:
                     raise DalgError(
                         f"generator uses a variable outside the ring: {g}")
-
-
-@dataclass
-class MacaulayLayer:
-    """Degree-k component data: every row is monomial * generator."""
-    degree: int
-    varkeys: tuple
-    columns: list
-    row_index: list
-    rank: int
-
-    def row_polys(self, gens, field):
-        for gi, mu in self.row_index:
-            yield DPoly(field, {mono_mul(mu, m): c
-                                for m, c in gens[gi].terms.items()}, _raw=True)
-
-
-def macaulay_layer(gens, vars_, k, field=None):
-    if field is None and gens:
-        field = gens[0].field
-    varkeys = _as_keys(vars_)
-    _validate_gens(gens, varkeys)
-    layers = MacaulayLayers(field, gens, varkeys)
-    elim, labels = layers.eliminate(k)
-    return MacaulayLayer(degree=k, varkeys=varkeys,
-                         columns=layers.columns(k)[0], row_index=labels,
-                         rank=elim.rank)
 
 
 def hf(gens, vars_, k):
@@ -158,12 +126,17 @@ def check_regular_sequence(gens, vars_, cutoff):
     v = len(varkeys)
     n = len(gens)
 
-    # ranks[i][k] = rank of the degree-k layer of the first i generators
-    ranks = [[0] * (cutoff + 1)]
+    # cur[k] = rank of the degree-k layer of the first i generators, prev
+    # the same for i - 1; generator i is regular at k exactly when cur[k]
+    # meets the bound prev[k] + HF_{i-1}(k - d_i)
+    prev = [0] * (cutoff + 1)
+    prefixes = []
+    hf_values = {}
     for i in range(1, n + 1):
         d_i = layers.degs[i - 1]
-        prev = ranks[i - 1]
         cur = []
+        verdicts = {}
+        first_fail = None
         for k in range(cutoff + 1):
             hf_prev_shift = (monomial_count(v, k - d_i) - prev[k - d_i]
                              if k >= d_i else 0)
@@ -177,28 +150,15 @@ def check_regular_sequence(gens, vars_, cutoff):
             if rank is None:
                 rank = layers.eliminate(k, i)[0].rank
             cur.append(rank)
-        ranks.append(cur)
-
-    prefixes = []
-    hf_values = {}
-    for i in range(1, n + 1):
-        d_i = layers.degs[i - 1]
-        verdicts = {}
-        first_fail = None
-        for k in range(cutoff + 1):
-            lhs = monomial_count(v, k) - ranks[i][k]
-            rhs = (monomial_count(v, k) - ranks[i - 1][k]) - (
-                monomial_count(v, k - d_i) - ranks[i - 1][k - d_i]
-                if k >= d_i else 0)
-            ok = lhs == rhs
-            verdicts[k] = "regular" if ok else "failed"
-            if not ok and first_fail is None:
+            verdicts[k] = "regular" if rank == upper else "failed"
+            if rank != upper and first_fail is None:
                 first_fail = k
         prefixes.append(PrefixReport(index=i, degree=d_i,
                                      verdicts=verdicts,
                                      first_failure=first_fail))
-        hf_values[i] = {k: monomial_count(v, k) - ranks[i][k]
+        hf_values[i] = {k: monomial_count(v, k) - cur[k]
                         for k in range(cutoff + 1)}
+        prev = cur
     return RegSeqReport(cutoff=cutoff, prefixes=prefixes,
                         hf_values=hf_values,
                         regular=all(p.regular for p in prefixes))

@@ -13,8 +13,10 @@ polynomials in the parameters and x otherwise): jets and coefficients
 are numerators in R over one common denominator, so no sum or product
 takes a gcd of fractions.  verify_annihilator tests a residual by its
 numerators alone; apply_dpoly divides once at the end.  Only the
-series solvers work over the field: solve_ode_series divides once per
-coefficient it fixes, newton_algebraic_series inverts with _linv.
+series solver, solve_ode_series, works over the field: it divides once
+per coefficient it fixes.  newton_algebraic_series has no solver of its
+own; it returns the ODE solver's series for the derivative of its
+algebraic equation.
 """
 
 from __future__ import annotations
@@ -460,6 +462,12 @@ def solve_ode_series(P: DPoly, initial, N, point=0) -> SeriesQ:
     derivative, with leading coefficient nonvanishing on the initial
     jets.  Coefficients 0..N are exact.
     """
+    return _solve_ode(P, initial, N, point)
+
+
+# newton_algebraic_series calls this body, not the public name, so that a
+# wrapper timing each public name (perfbench's trace) counts its series once
+def _solve_ode(P, initial, N, point):
     field = P.field
     fams = set(P.orders())
     if len(fams) != 1:
@@ -519,39 +527,25 @@ def solve_ode_series(P: DPoly, initial, N, point=0) -> SeriesQ:
 
 def newton_algebraic_series(Qg: DPoly, y0, N, point=0) -> SeriesQ:
     """Series of the algebraic function y(x) with Qg(x, y) = 0 and
-    y(point) = y0, where y0 is a simple root of Qg(point, .)."""
+    y(point) = y0, where y0 is a simple root of Qg(point, .).
+
+    Qg(x, y(x)) vanishes exactly when its value at the point and its
+    derivative Qg_y * y' + Qg_x do.  That ODE is linear in y' with
+    leading coefficient Qg_y(point, y0) != 0, so its series solution
+    from y0 is unique: the limit of the Newton iteration, coefficient
+    for coefficient.
+    """
     field = Qg.field
-    y1 = JetVar.y(1)
     if set(Qg.orders()) != {(1, 1)} or Qg.orders()[(1, 1)] != 0:
         raise DalgError("Qg must be a polynomial in y1 alone (order 0)")
-    point = Fraction(point)
     y0 = y0 if _is_elem(field, y0) else field.from_fraction(Fraction(y0))
-    dQ = Qg.partial(y1)
-
-    R = ring_of(field)[0]
-    n = N + 1
-
-    def values(coefficients, y, m):
-        jets, den = _jets(field, {(1, 1): (y[:m], 0)})
-        return _to_field(field, *_eval_terms(R, coefficients, jets, den, m))
-
-    y = [field.zero] * n
-    y[0] = y0
-    q_coeffs = _coefficients(Qg, point, n)
-    if not field.is_zero(values(q_coeffs, y, 1)[0]):
+    start = {(1, 1): SeriesQ.constant(field, y0, 0, point)}
+    if _residual(Qg, start)[1][0]:
         raise HypothesisError("y0 is not a root of Qg at the expansion point")
-    d_coeffs = _coefficients(dQ, point, n)
-    if field.is_zero(values(d_coeffs, y, 1)[0]):
+    if not _residual(Qg.partial(JetVar.y(1)), start)[1][0]:
         raise HypothesisError("y0 is not a simple root; Newton iteration "
                               "cannot start")
-    for _ in range(N + 2):
-        q_vals = values(q_coeffs, y, n)
-        if all(field.is_zero(c) for c in q_vals):
-            break
-        d_vals = values(d_coeffs, y, n)
-        step = _lmul(q_vals, _linv(field, d_vals), n, field.zero)
-        y = [y[i] - step[i] for i in range(n)]
-    return SeriesQ(field, point, y, N)
+    return _solve_ode(Qg.derive(), [y0], N, point)
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,6 @@ class SystemSpec:
                 out[key] = max(out.get(key, -1), order)
         return out
 
-    def families(self):
-        return sorted(self.orders())
-
 
 def prolong(spec: SystemSpec, m: int):
     """All derivatives of the generators up to order m, generator-major."""

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from dalg import DPoly, JetVar, get_field, parse_poly, parse_system
+from dalg.dpoly import mono_mul
 from dalg.hilbert import (check_dregular, check_regular_sequence, hf,
-                          hs_regular_closed_form, macaulay_layer)
-from dalg.linalg import monomial_count
+                          hs_regular_closed_form)
+from dalg.linalg import MacaulayLayers, degree_monomials, monomial_count
 
 from oracles import dense_rank
 
@@ -43,27 +44,28 @@ def test_closed_form_matches_binomial_identities():
 
 def test_macaulay_rank_matches_dense_oracle():
     rng = random.Random(31)
-    vars_ = [Y1, Y2, Y3]
+    varkeys = sorted(v.key for v in (Y1, Y2, Y3))
     for _ in range(15):
         gens = []
         for d in (2, 3):
             p = DPoly.zero(F)
-            from dalg.linalg import degree_monomials
-            for mono in degree_monomials(sorted(v.key for v in vars_), d):
+            for mono in degree_monomials(varkeys, d):
                 c = rng.randint(-4, 4)
                 if c:
                     p = p + DPoly(F, {mono: F.q(c)}, _raw=True)
             if p.is_zero():
                 p = parse_poly("y1^2", F)
             gens.append(p)
+        layers = MacaulayLayers(F, gens, varkeys)
         for k in range(2, 7):
-            layer = macaulay_layer(gens, vars_, k)
-            col_pos = {m: i for i, m in enumerate(layer.columns)}
-            rows = []
-            for rp in layer.row_polys(gens, F):
-                rows.append({col_pos[m]: F.as_fraction(c)
-                             for m, c in rp.terms.items()})
-            assert layer.rank == dense_rank(rows, len(layer.columns))
+            columns, col_pos, _ = layers.columns(k)
+            # the oracle rows are mu * g from the generators themselves,
+            # not the layer's cleared rows
+            rows = [{col_pos[mono_mul(mu, m)]: F.as_fraction(c)
+                     for m, c in gens[gi].terms.items()}
+                    for gi, mu, _ in layers.rows(k)]
+            assert layers.eliminate(k)[0].rank == dense_rank(rows,
+                                                             len(columns))
 
 
 def test_regular_sequence_accepts_monomial_ci():

@@ -35,13 +35,18 @@ ALL = [
 ]
 
 
+def _run(code, cwd):
+    """The completed process of code run in a fresh interpreter on ./src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("DALG_BUDGET", None)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def _python(code, cwd):
     """Run code in a fresh interpreter on ./src; returns its last stdout
     line parsed as JSON."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("DALG_BUDGET", None)
-    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run(code, cwd)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -84,6 +89,24 @@ def test_gaussian_field_loads_sympy(tmp_path):
          "--p", "y2' - y2", "--r", "1"], tmp_path)
     assert code == 0 and "(-1-i)*z" in out
     assert loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["eliminate", "--prod", "--field", "Qi", "--p", "y1' - y1",
+     "--p", "y2' - y2", "--r", "1"],
+    ["reselim", "--elimx", "--p", "y1 - x^2"],
+    ["verify", "--field", "Q(a;)", "--poly", "y1' - y1",
+     "--witness", "y1=exp"],
+], ids=["eliminate-Qi", "reselim", "verify-param"])
+def test_missing_sympy_is_a_usage_error(tmp_path, argv):
+    # None in sys.modules makes "import sympy" raise ModuleNotFoundError,
+    # as on an interpreter without sympy
+    proc = _run("import sys\nsys.modules['sympy'] = None\n"
+                "from dalg.cli import main\n"
+                f"sys.exit(main({argv!r}))\n", tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "sympy" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_eliminate_search_over_q_in_process(tmp_path):

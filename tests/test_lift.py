@@ -1,13 +1,17 @@
-"""Metamorphic lift: a system over Q and its lift into a larger field
-find the same annihilator.
+"""Metamorphic transformations: a system over Q, lifted into a larger
+field, with its generators permuted or scaled, finds the same
+annihilator.
 
 Lifting maps each rational coefficient into the larger field (the
-Q/sympy boundary in series._embed).  The layers keep their span and
-column order, and the normal form of a polynomial with rational
-coefficients is the same over Q, Q(i), Q(a;) and Q(i)(a;x) (see
-dpoly.normalize).  So every lift must print the annihilator found over
-Q byte for byte, with a certificate that replays in the larger field,
-and the same Hilbert-function profile.
+Q/sympy boundary in series._embed).  None of the transformations
+changes the span of a Macaulay layer or its column order, and the
+normal form of a polynomial with rational coefficients is the same over
+Q, Q(i), Q(a;) and Q(i)(a;x) (see dpoly.normalize).  So every
+transformation must print the annihilator found over Q byte for byte,
+with a certificate that replays in its field, and keep the Hilbert
+function of the full ideal.  Scaling also keeps every prefix ideal, so
+it keeps the regularity verdict and the first failure; a permutation
+changes the prefixes and may move the failure.
 """
 
 import random
@@ -24,7 +28,18 @@ from dalg.system import SystemSpec
 from oracles import rand_poly
 
 Q = get_field("Q")
-LIFTS = ["Qi", "Q(a;)", "Qi(a;x)"]
+# name: (field label, scalars, reversed); generator j of the lifted
+# system is multiplied by scalars[j % len(scalars)], and with reversed
+# the generator order is reversed
+TRANSFORMS = {
+    "Qi": ("Qi", (), False),
+    "Q(a;)": ("Q(a;)", (), False),
+    "Qi(a;x)": ("Qi(a;x)", (), False),
+    "reversed": ("Q", (), True),
+    "scaled": ("Q", ("-2/3",), False),
+    "Qi-scaled": ("Qi", ("i", "1 + i"), False),
+    "Q(a;)-scaled": ("Q(a;)", ("a + 1",), False),
+}
 
 
 def _p(text):
@@ -62,11 +77,17 @@ def _random_systems(n):
 CASES = _presets() + _random_systems(6)
 
 
-def _lift(system, field):
-    gens = tuple(DPoly(field, {m: _embed(c, Q, field)
-                               for m, c in g.terms.items()})
-                 for g in system.gens)
-    return SystemSpec(field=field, gens=gens, target=system.target,
+def _transform(system, name):
+    label, scalars, reverse = TRANSFORMS[name]
+    field = field_from_label(label)
+    gens = [DPoly(field, {m: _embed(c, Q, field) for m, c in g.terms.items()})
+            for g in system.gens]
+    if scalars:
+        gens = [g * parse_poly(scalars[j % len(scalars)], field)
+                for j, g in enumerate(gens)]
+    if reverse:
+        gens.reverse()
+    return SystemSpec(field=field, gens=tuple(gens), target=system.target,
                       mode=system.mode)
 
 
@@ -81,21 +102,32 @@ def _outcome(res):
                          ids=[c[0] for c in CASES])
 def test_lift_keeps_the_annihilator(name, system, r, k_max):
     want = _outcome(eliminate_search(system, system.target, r, k_max))
-    for label in LIFTS:
-        lifted = _lift(system, field_from_label(label))
-        got = _outcome(eliminate_search(lifted, system.target, r, k_max))
-        assert got == want, (name, label)
+    for t in TRANSFORMS:
+        got = _outcome(eliminate_search(_transform(system, t), system.target,
+                                        r, k_max))
+        assert got == want, (name, t)
     # every case finds an annihilator within k_max
     assert isinstance(want, tuple)
 
 
-@pytest.mark.parametrize("name, system", [c[:2] for c in CASES[:3]],
-                         ids=[c[0] for c in CASES[:3]])
-def test_lift_keeps_the_hilbert_profile(name, system):
+# presets at rho = 0, and the random systems at rho = 1, where rand1 and
+# rand5 are not regular
+PROFILES = ([(name, system, 0) for name, system, *_ in CASES[:3]]
+            + [(name, system, 1) for name, system, *_ in CASES
+               if name.startswith("rand")])
+
+
+@pytest.mark.parametrize("name, system, rho", PROFILES,
+                         ids=[c[0] for c in PROFILES])
+def test_lift_keeps_the_hilbert_profile(name, system, rho):
     def profile(spec):
-        rep = check_dregular(spec, 0, cutoff=4)
-        return (rep.regular, rep.regseq.failure(), rep.profile.values)
+        rep = check_dregular(spec, rho, cutoff=4)
+        return rep.profile.values, rep.regular, rep.regseq.failure()
 
     want = profile(system)
-    for label in LIFTS:
-        assert profile(_lift(system, field_from_label(label))) == want, label
+    assert want[1] == (name not in ("rand1", "rand5"))
+    for t, (_, _, reverse) in TRANSFORMS.items():
+        got = profile(_transform(system, t))
+        # a permutation keeps only the Hilbert function of the full ideal
+        n = 1 if reverse else 3
+        assert got[:n] == want[:n], t

@@ -237,6 +237,38 @@ def test_newton_hypothesis_errors():
         newton_algebraic_series(parse_poly("y1' - x", FX), 0, 4)
 
 
+# (field, Qg, y0): y0 is a simple root of Qg(point, .) at each point of
+# the grid below.  Over x fields Qg(x, y0) is a multiple of
+# x*(x - 1)*(2*x - 1), which vanishes at the grid points only, so the
+# series is not constant.
+_W = "(2*x^3 - 3*x^2 + x)"
+ALGEBRAIC = [
+    ("Q", "y1^2 - 2*y1 - 3", 3),
+    ("Q", "y1^3 - y1 - 6", 2),
+    ("Q(;x)", f"x*y1^2 + y1 - 1 - x + {_W}", 1),
+    ("Q(;x)", f"y1^3 - x*y1 - 1 + x - {_W}", 1),
+    ("Q(a;x)", f"y1^2 - 1 + a*{_W}", 1),
+    ("Q(a;x)", f"y1^3 + x*y1 - 1 - x + a*{_W}", 1),
+    ("Qi(;x)", f"y1^2 - 1 + i*{_W}", 1),
+    ("Qi(;x)", f"x*y1^2 + i*y1 - i - x + {_W}", 1),
+]
+
+
+@pytest.mark.parametrize("point", [Fraction(0), Fraction(1), Fraction(1, 2)],
+                         ids=["0", "1", "1/2"])
+@pytest.mark.parametrize("label, text, y0", ALGEBRAIC,
+                         ids=[f"{c[0]}-{j}" for j, c in enumerate(ALGEBRAIC)])
+def test_algebraic_series_residual_vanishes(label, text, y0, point):
+    field = field_from_label(label)
+    Qg = parse_poly(text, field)
+    s = newton_algebraic_series(Qg, y0, 12, point=point)
+    assert s.coeffs[0] == field.q(y0)
+    assert label == "Q" or any(s.coeffs[1:])
+    coeffs, N = series_eval(Qg, {(1, 1): (s.coeffs, s.N)}, point)
+    assert N == 12 and all(field.is_zero(c) for c in coeffs)
+    assert newton_algebraic_series(Qg, y0, 6, point=point) == s.truncate(6)
+
+
 # ---------------------------------------------------------------------------
 # evaluating differential polynomials on witnesses
 
