@@ -7,11 +7,13 @@ the closed-form series prod(1-t^d_j) / (1-t)^v, and regularity of each
 generator modulo its predecessors is tested degree by degree through the
 injectivity of the multiplication map.
 
-Over plain Q the per-prefix ranks are first attempted with the modular
-engine: rank_i(k) <= rank_{i-1}(k) + HF_{i-1}(k - d_i) always holds, and
-a mod-p rank meeting that bound certifies the exact value (which is also
-exactly the injectivity condition).  Anything short of the bound falls
-back to exact elimination.
+The check runs degree by degree.  Over plain Q each degree's layer is
+reduced once mod p, fed generator by generator, so the running rank at
+the last row of generator i is the mod-p rank of the prefix gens[:i].
+rank_i(k) <= rank_{i-1}(k) + HF_{i-1}(k - d_i) always holds, and a
+mod-p rank meeting that bound certifies the exact value (which is also
+exactly the injectivity condition).  A prefix short of its bound, and
+every prefix over other fields, is eliminated exactly on its own.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from .dpoly import JetVar, var_key
 from .errors import DalgError, WindowError
-from .linalg import MacaulayLayers, modp_rank, monomial_count
+from .linalg import MacaulayLayers, check_budget, modp_rank, monomial_count
 from .system import prolong
 
 
@@ -118,6 +120,8 @@ def check_regular_sequence(gens, vars_, cutoff):
     HF_i(j) = HF_{i-1}(j) - HF_{i-1}(j - d_i); a failure is conclusive,
     success is bounded by the cutoff.
     """
+    if cutoff < 0:
+        raise DalgError("cutoff must be nonnegative")
     varkeys = _as_keys(vars_)
     _validate_gens(gens, varkeys)
     if not gens:
@@ -125,40 +129,46 @@ def check_regular_sequence(gens, vars_, cutoff):
     layers = MacaulayLayers(gens[0].field, gens, varkeys)
     v = len(varkeys)
     n = len(gens)
-
-    # cur[k] = rank of the degree-k layer of the first i generators, prev
-    # the same for i - 1; generator i is regular at k exactly when cur[k]
-    # meets the bound prev[k] + HF_{i-1}(k - d_i)
-    prev = [0] * (cutoff + 1)
-    prefixes = []
-    hf_values = {}
+    # every prefix layer is within budget before any is reduced, checked
+    # prefix by prefix, so an abort names the first prefix layer too large
     for i in range(1, n + 1):
-        d_i = layers.degs[i - 1]
-        cur = []
-        verdicts = {}
-        first_fail = None
         for k in range(cutoff + 1):
-            hf_prev_shift = (monomial_count(v, k - d_i) - prev[k - d_i]
-                             if k >= d_i else 0)
-            upper = prev[k] + hf_prev_shift
-            rank = None
-            if layers.int_mode and layers.nrows(k, i) and upper:
-                rp = modp_rank((row for _, _, row in layers.rows(k, i)),
-                               monomial_count(v, k))
-                if rp == upper:
-                    rank = upper
-            if rank is None:
+            check_budget(layers.nrows(k, i), monomial_count(v, k))
+
+    # ranks[i][k] = rank of the degree-k layer of the first i generators;
+    # generator i is regular at k exactly when it meets the bound
+    # ranks[i-1][k] + HF_{i-1}(k - d_i), which needs prefix i - 1 only at
+    # degrees <= k and so is known when prefix i is reached
+    ranks = [[0] * (cutoff + 1) for _ in range(n + 1)]
+    verdicts = [{} for _ in range(n)]
+    first_fail = [None] * n
+    for k in range(cutoff + 1):
+        running = None
+        if layers.int_mode and layers.nrows(k):
+            running = modp_rank((row for _, _, row in layers.rows(k)),
+                                monomial_count(v, k))
+        for i in range(1, n + 1):
+            d_i = layers.degs[i - 1]
+            prev = ranks[i - 1]
+            upper = prev[k] + (monomial_count(v, k - d_i) - prev[k - d_i]
+                               if k >= d_i else 0)
+            nr = layers.nrows(k, i)
+            rank = running[nr - 1] if running and nr else 0
+            if rank != upper:
+                # short of the bound mod p, or not over plain Q: only the
+                # exact rank of the prefix decides
                 rank = layers.eliminate(k, i)[0].rank
-            cur.append(rank)
-            verdicts[k] = "regular" if rank == upper else "failed"
-            if rank != upper and first_fail is None:
-                first_fail = k
-        prefixes.append(PrefixReport(index=i, degree=d_i,
-                                     verdicts=verdicts,
-                                     first_failure=first_fail))
-        hf_values[i] = {k: monomial_count(v, k) - cur[k]
-                        for k in range(cutoff + 1)}
-        prev = cur
+            ranks[i][k] = rank
+            verdicts[i - 1][k] = "regular" if rank == upper else "failed"
+            if rank != upper and first_fail[i - 1] is None:
+                first_fail[i - 1] = k
+    prefixes = [PrefixReport(index=i, degree=layers.degs[i - 1],
+                             verdicts=verdicts[i - 1],
+                             first_failure=first_fail[i - 1])
+                for i in range(1, n + 1)]
+    hf_values = {i: {k: monomial_count(v, k) - ranks[i][k]
+                     for k in range(cutoff + 1)}
+                 for i in range(1, n + 1)}
     return RegSeqReport(cutoff=cutoff, prefixes=prefixes,
                         hf_values=hf_values,
                         regular=all(p.regular for p in prefixes))

@@ -27,7 +27,9 @@ the generators themselves, so a fault in clearing fails the certificate
 too.
 
 modp_rank reduces the same sparse integer rows over F_p with plain
-integer arithmetic.  A mod-p rank never exceeds the rational rank, so a
+integer arithmetic and reports the rank after every row, so one pass
+over a layer fed generator by generator gives the rank of each prefix
+of the generators.  A mod-p rank never exceeds the rational rank, so a
 caller holding a matching upper bound can certify exactness; otherwise
 it must fall back to the exact eliminator.
 """
@@ -35,6 +37,7 @@ it must fall back to the exact eliminator.
 from __future__ import annotations
 
 import os
+from array import array
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from math import comb
@@ -340,14 +343,20 @@ class MacaulayLayers:
 # modular rank
 
 def modp_rank(rows, ncols):
-    """Rank over F_p, p = MOD_P, of integer rows of a layer ncols wide.
+    """Running ranks over F_p, p = MOD_P, of integer rows of a layer
+    ncols wide: an array whose entry j is the rank of the first j + 1
+    rows, one machine integer per row.
 
     Each stored pivot row is scaled to a leading 1 and every row fed in is
     reduced by them, sparse, under the same column order as the exact
-    eliminator.  The rank never exceeds the rank over Q.  The rows carry
-    their own columns, so ncols only names the layer's width.
+    eliminator.  Rows fed later never change an earlier entry, so for a
+    layer fed generator by generator the entry at each generator's last
+    row is the rank of that prefix alone.  No entry exceeds the rank over
+    Q of the same rows.  The rows carry their own columns, so ncols only
+    names the layer's width.
     """
     pivots = {}
+    ranks = array("l")
     for row in rows:
         row = {c: v % MOD_P for c, v in row.items() if v % MOD_P}
         while row:
@@ -364,4 +373,5 @@ def modp_rank(rows, ncols):
                     row[cc] = w
                 else:
                     row.pop(cc, None)
-    return len(pivots)
+        ranks.append(len(pivots))
+    return ranks

@@ -11,6 +11,7 @@ from dalg.cli import load_schema, main
 
 PROD_SYS = "field: Q\ntarget: z\ny1' - y1\ny2' - y2\nz - y1*y2\n"
 NONREG_SYS = "field: Q\ntarget: y1\ny1^2 - y1*y2\ny1*y2 - y2^2\ny1*y2\n"
+SUM_SYS = "field: Q\ntarget: z\ny1' - y1\ny2' - 1 - y2^2\nz - y1 - y2\n"
 
 
 @pytest.fixture(autouse=True)
@@ -254,6 +255,33 @@ def test_checkdreg_budget_exit3(capsys, tmp_path):
     code, out, err = run(capsys, "checkdreg", "--system", str(sys_file),
                          "--budget", "50")
     assert code == 3 and out == "" and "budget 50" in err
+
+
+@pytest.mark.parametrize("budget, layer", [
+    ("50", "9 x 45 = 405"), ("3000", "45 x 165 = 7425"),
+    ("200000", "495 x 1287 = 637065"), ("1000000", "990 x 1287 = 1274130")])
+@pytest.mark.parametrize("sub", ["checkdreg", "hilbert"])
+def test_regularity_budget_names_first_prefix_layer(capsys, tmp_path, sub,
+                                                     budget, layer):
+    # prefix by prefix, degree by degree, the first layer over budget
+    sys_file = tmp_path / "sum.sys"
+    sys_file.write_text(SUM_SYS)
+    code, out, err = run(capsys, sub, "--system", str(sys_file), "--rho",
+                         "1", "--cutoff", "5", "--budget", budget)
+    assert (code, out) == (3, "")
+    assert err == (f"error: matrix of {layer} entries exceeds budget "
+                   f"{budget}\n")
+
+
+@pytest.mark.parametrize("sub, cutoff", [("checkdreg", "-1"),
+                                         ("hilbert", "-2")])
+def test_negative_cutoff_exit2(capsys, tmp_path, sub, cutoff):
+    sys_file = tmp_path / "prod.sys"
+    sys_file.write_text(PROD_SYS)
+    code, out, err = run(capsys, sub, "--system", str(sys_file),
+                         "--cutoff", cutoff)
+    assert (code, out) == (2, "")
+    assert err == "error: cutoff must be nonnegative\n"
 
 
 def test_system_parse_error_exit2(capsys, tmp_path):

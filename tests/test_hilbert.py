@@ -6,12 +6,16 @@ import random
 import pytest
 
 from dalg import DPoly, JetVar, get_field, parse_poly, parse_system
+from dalg import hilbert
 from dalg.dpoly import mono_mul
+from dalg.errors import DalgError
 from dalg.hilbert import (check_dregular, check_regular_sequence, hf,
-                          hs_regular_closed_form)
-from dalg.linalg import MacaulayLayers, degree_monomials, monomial_count
+                          hs_regular_closed_form, ring_vars)
+from dalg.linalg import (MacaulayLayers, degree_monomials, modp_rank,
+                         monomial_count)
+from dalg.system import prolong
 
-from oracles import dense_rank
+from oracles import DEFAULT_JETS, dense_rank, rand_poly
 
 F = get_field("Q")
 Y1, Y2, Y3 = JetVar.y(1), JetVar.y(2), JetVar.y(3)
@@ -88,6 +92,88 @@ def test_regular_sequence_exact_fallback_when_rows_vanish_mod_p():
     assert ([p.verdicts for p in scaled.prefixes]
             == [p.verdicts for p in plain.prefixes])
     assert scaled.regular
+
+
+def _random_homogeneous_systems(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        gens = []
+        while len(gens) < 3:
+            g = rand_poly(rng, F, DEFAULT_JETS[:3], max_terms=3, max_deg=2)
+            if g.total_degree():
+                gens.append(g.homogenize())
+        yield gens, ring_vars(gens)
+
+
+def test_running_modp_ranks_give_every_prefix_rank():
+    # the running rank at the last row of generator i is the mod-p rank of
+    # gens[:i] fed alone, and for these small integer systems its exact rank
+    for gens, varkeys in _random_homogeneous_systems(41, 12):
+        layers = MacaulayLayers(F, gens, varkeys)
+        for k in range(5):
+            ncols = monomial_count(len(varkeys), k)
+            running = modp_rank((row for _, _, row in layers.rows(k)), ncols)
+            assert len(running) == layers.nrows(k)
+            for i in range(1, len(gens) + 1):
+                nr = layers.nrows(k, i)
+                at_boundary = running[nr - 1] if nr else 0
+                alone = modp_rank((row for _, _, row in layers.rows(k, i)),
+                                  ncols)
+                assert at_boundary == (alone[-1] if nr else 0)
+                assert at_boundary == layers.eliminate(k, i)[0].rank
+
+
+def test_regular_sequence_matches_exact_prefix_ranks():
+    # verdicts and HF values against every prefix eliminated exactly
+    for gens, varkeys in _random_homogeneous_systems(43, 12):
+        layers = MacaulayLayers(F, gens, varkeys)
+        v, cutoff = len(varkeys), 4
+        rank = {(0, k): 0 for k in range(cutoff + 1)}
+        for i in range(1, len(gens) + 1):
+            for k in range(cutoff + 1):
+                rank[i, k] = layers.eliminate(k, i)[0].rank
+        rep = check_regular_sequence(gens, varkeys, cutoff)
+        for p in rep.prefixes:
+            i, d = p.index, p.degree
+            for k in range(cutoff + 1):
+                upper = rank[i - 1, k] + (
+                    monomial_count(v, k - d) - rank[i - 1, k - d]
+                    if k >= d else 0)
+                assert p.verdicts[k] == ("regular" if rank[i, k] == upper
+                                         else "failed")
+                assert rep.hf_values[i][k] == monomial_count(v, k) - rank[i, k]
+
+
+def test_regular_sequence_makes_one_modp_pass_per_degree(monkeypatch):
+    spec = parse_system("field: Q\ntarget: z\ny1' - y1\ny2' - 1 - y2^2\n"
+                        "z - y1 - y2\n")
+    gens = [g.homogenize() for g in prolong(spec, 1)]
+    varkeys = ring_vars(gens)
+    layers = MacaulayLayers(F, gens, varkeys)
+    v = len(varkeys)
+    calls = []
+
+    def counting(rows, ncols):
+        rows = list(rows)
+        calls.append((ncols, len(rows)))
+        return modp_rank(rows, ncols)
+
+    monkeypatch.setattr(hilbert, "modp_rank", counting)
+    rep = check_regular_sequence(gens, varkeys, 5)
+    assert rep.regular
+    expected = [(monomial_count(v, k), layers.nrows(k))
+                for k in range(6) if layers.nrows(k)]
+    assert calls == expected
+
+
+@pytest.mark.parametrize("cutoff", [-1, -2])
+def test_regular_sequence_rejects_negative_cutoff(cutoff):
+    gens = [parse_poly("y1^2", F)]
+    with pytest.raises(DalgError, match="cutoff"):
+        check_regular_sequence(gens, [Y1, Y2], cutoff)
+    spec = parse_system("field: Q\ntarget: y1\ny1' - y1\n")
+    with pytest.raises(DalgError, match="cutoff"):
+        check_dregular(spec, 0, cutoff=cutoff)
 
 
 def test_regular_sequence_rejects_zerodivisor():
