@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .dpoly import DPoly, JetVar, mono_mul
 from .errors import DalgError
-from .linalg import MacaulayLayers
+from .linalg import MacaulayLayers, ring_vars
 from .system import SystemSpec, _family_of_label, prolong
 from . import bounds as _bounds
 
@@ -77,13 +77,6 @@ class NotFoundUpTo:
                              for a in self.attempts]}
 
 
-def _ring_varkeys(system: SystemSpec, m: int):
-    keys = [JetVar.s().key]
-    for (fam, idx), top in sorted(system.orders().items()):
-        keys.extend((fam, idx, j) for j in range(top + m + 1))
-    return sorted(keys)
-
-
 def find_annihilator(system: SystemSpec, l, r, k):
     """Search the degree-k layer of h(I)^(r - r_l) for a target-only row.
 
@@ -105,7 +98,7 @@ def find_annihilator(system: SystemSpec, l, r, k):
     field = system.field
     h_gens = [g.homogenize() for g in prolong(system, m)]
     target_keys = {JetVar.s().key} | {(fam[0], fam[1], j) for j in range(r + 1)}
-    layers = MacaulayLayers(field, h_gens, _ring_varkeys(system, m),
+    layers = MacaulayLayers(field, h_gens, ring_vars(h_gens),
                             last=target_keys)
     elim, labels = layers.eliminate(k, track=True)
     columns, _, target_start = layers.columns(k)

@@ -7,13 +7,14 @@ the closed-form series prod(1-t^d_j) / (1-t)^v, and regularity of each
 generator modulo its predecessors is tested degree by degree through the
 injectivity of the multiplication map.
 
-The check runs degree by degree.  Over plain Q each degree's layer is
-reduced once mod p, fed generator by generator, so the running rank at
-the last row of generator i is the mod-p rank of the prefix gens[:i].
-rank_i(k) <= rank_{i-1}(k) + HF_{i-1}(k - d_i) always holds, and a
-mod-p rank meeting that bound certifies the exact value (which is also
-exactly the injectivity condition).  A prefix short of its bound, and
-every prefix over other fields, is eliminated exactly on its own.
+The check runs degree by degree, feeding each layer generator by
+generator, so the running rank at the last row of generator i is the
+rank of the prefix gens[:i].  rank_i(k) <= rank_{i-1}(k) +
+HF_{i-1}(k - d_i) always holds, and meeting that bound is exactly the
+injectivity condition.  Over plain Q the layer is first reduced mod p,
+and a mod-p rank meeting the bound is exact.  Other prefixes read the
+exact running ranks of the layer (MacaulayLayers.ranks), one pass per
+degree.
 """
 
 from __future__ import annotations
@@ -21,25 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .dpoly import JetVar, var_key
+from .dpoly import var_key
 from .errors import DalgError, WindowError
-from .linalg import MacaulayLayers, check_budget, modp_rank, monomial_count
+from .linalg import (MacaulayLayers, check_budget, modp_rank, monomial_count,
+                     ring_vars)
 from .system import prolong
-
-
-def ring_vars(polys):
-    """Ordered ring variables for a set of polynomials: s plus every jet
-    family filled from order 0 up to its maximum occurring order."""
-    fams = {}
-    for p in polys:
-        for m in p.terms:
-            for (fam, idx, order), _ in m:
-                if fam:
-                    fams[(fam, idx)] = max(fams.get((fam, idx), 0), order)
-    keys = [JetVar.s().key]
-    for (fam, idx), top in sorted(fams.items()):
-        keys.extend((fam, idx, j) for j in range(top + 1))
-    return sorted(keys)
 
 
 def _as_keys(vars_):
@@ -143,7 +130,7 @@ def check_regular_sequence(gens, vars_, cutoff):
     verdicts = [{} for _ in range(n)]
     first_fail = [None] * n
     for k in range(cutoff + 1):
-        running = None
+        running = exact = None
         if layers.int_mode and layers.nrows(k):
             running = modp_rank((row for _, _, row in layers.rows(k)),
                                 monomial_count(v, k))
@@ -156,8 +143,9 @@ def check_regular_sequence(gens, vars_, cutoff):
             rank = running[nr - 1] if running and nr else 0
             if rank != upper:
                 # short of the bound mod p, or not over plain Q: only the
-                # exact rank of the prefix decides
-                rank = layers.eliminate(k, i)[0].rank
+                # exact rank decides, from one exact pass per degree
+                exact = exact or layers.ranks(k)
+                rank = exact[nr - 1] if nr else 0
             ranks[i][k] = rank
             verdicts[i - 1][k] = "regular" if rank == upper else "failed"
             if rank != upper and first_fail[i - 1] is None:

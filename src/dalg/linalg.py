@@ -7,7 +7,8 @@ denominators once, into the ring R of its field: ints over plain Q,
 Gaussian integers over Q(i), and polynomials over those in the
 parameters and x otherwise.  The fields module owns that ring (ring_of,
 clear_denominators) and the canonical primitive form over it
-(primitive_divisor); this module only uses them.
+(primitive_divisor); this module only uses them.  ring_vars reads the
+variables of a layer's ring off its generators.
 
 Rows live over a fixed ordered column set.  The eliminator keeps rows in
 row-echelon form with the deterministic pivot rule "first nonzero entry
@@ -42,7 +43,7 @@ from contextlib import contextmanager
 from heapq import heappop, heappush
 from math import comb
 
-from .dpoly import mono_mul
+from .dpoly import JetVar, mono_mul
 from .errors import BudgetExceededError
 from .fields import clear_denominators, plain_q, primitive_divisor, ring_of
 
@@ -119,6 +120,21 @@ def degree_monomials(varkeys, k):
 
 def monomial_count(v, k):
     return comb(v - 1 + k, v - 1)
+
+
+def ring_vars(polys):
+    """Ordered ring variables for a set of polynomials: s plus every jet
+    family filled from order 0 up to its maximum occurring order."""
+    fams = {}
+    for p in polys:
+        for m in p.terms:
+            for (fam, idx, order), _ in m:
+                if fam:
+                    fams[(fam, idx)] = max(fams.get((fam, idx), 0), order)
+    keys = [JetVar.s().key]
+    for (fam, idx), top in sorted(fams.items()):
+        keys.extend((fam, idx, j) for j in range(top + 1))
+    return sorted(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +353,17 @@ class MacaulayLayers:
             elim.add_row(row, len(labels))
             labels.append((gi, mu))
         return elim, labels
+
+    def ranks(self, k):
+        """Exact running ranks of the degree-k layer, as modp_rank gives
+        them: entry j is the rank of its first j + 1 rows."""
+        rows = self.rows(k)
+        elim = SparseEliminator(len(self.columns(k)[0]), self.field)
+        out = array("l")
+        for _, _, row in rows:
+            elim.add_row(row)
+            out.append(elim.rank)
+        return out
 
 
 # ---------------------------------------------------------------------------

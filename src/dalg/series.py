@@ -12,11 +12,12 @@ of the coefficient field (ints over Q, Gaussian integers over Q(i),
 polynomials in the parameters and x otherwise): jets and coefficients
 are numerators in R over one common denominator, so no sum or product
 takes a gcd of fractions.  verify_annihilator tests a residual by its
-numerators alone; apply_dpoly divides once at the end.  Only the
-series solver, solve_ode_series, works over the field: it divides once
-per coefficient it fixes.  newton_algebraic_series has no solver of its
-own; it returns the ODE solver's series for the derivative of its
-algebraic equation.
+numerators alone; apply_dpoly divides once at the end.  The series
+solver, solve_ode_series, fixes each coefficient of a solution of
+A*y^(r) + B = 0 from one such evaluation of the whole equation on the
+coefficients fixed before it, and one division in the field.
+newton_algebraic_series has no solver of its own; it returns the ODE
+solver's series for the derivative of its algebraic equation.
 """
 
 from __future__ import annotations
@@ -481,8 +482,6 @@ def _solve_ode(P, initial, N, point):
     if max(by_deg) != 1:
         raise HypothesisError(
             "the equation is not linear in its highest derivative")
-    A = by_deg[1]
-    B = by_deg.get(0, DPoly.zero(field))
     point = Fraction(point)
     init = [c if _is_elem(field, c) else field.from_fraction(Fraction(c))
             for c in initial]
@@ -493,35 +492,26 @@ def _solve_ode(P, initial, N, point):
         if j < n:
             f[j] = c / field.q(factorial(j))
 
-    R = ring_of(field)[0]
-
-    def last(coefficients, m):
-        """Coefficient m - 1 of a polynomial in jets below order r
-        evaluated on f; it reads f[:r + m - 1] only."""
-        jets, den = _jets(field, {fam: (f[:r + m - 1], r - 1)})
-        nums, vden = _eval_terms(R, coefficients, jets, den, m)
+    def coefficient(coefficients, t, order):
+        """Coefficient t of a polynomial in jets up to `order` on f."""
+        jets, den = _jets(field, {fam: (f[:order + t + 1], order)})
+        nums, vden = _eval_terms(ring_of(field)[0], coefficients, jets, den,
+                                 t + 1)
         return _to_field(field, nums[-1:], vden)[0]
 
-    a_coeffs = _coefficients(A, point, n)
-    a_vals = [last(a_coeffs, 1)]
-    if field.is_zero(a_vals[0]):
+    a0 = coefficient(_coefficients(by_deg[1], point, 1), 0, r - 1)
+    if field.is_zero(a0):
         raise HypothesisError(
             "leading coefficient vanishes on the initial jets; the series "
             "is not determined")
-    b_coeffs = _coefficients(B, point, n)
-    # f^(r) = q = -B/A gives f_(r+t) = t!/(r+t)! * q_t, and A*q = -B gives
-    # q_t = -(B_t + sum_(i<t) A_(t-i) q_i) / A_0.  A and B take jets below
-    # order r only, so A_t and B_t need f[:r + t]: step t fixes f[r + t]
-    # from the steps before it.
-    q = []
+    # P = A*f^(r) + B with f^(r) = q, q_t = (r+t)!/t! * f_(r+t).  A and B
+    # take jets below order r only, so while f_(r+t) is still 0, coefficient
+    # t of P(f) is B_t + sum_(i<t) A_(t-i) q_i, and P(f)_t = 0 asks for
+    # q_t = -P(f)_t / A_0: step t fixes f_(r+t) from one evaluation of P.
+    p_coeffs = _coefficients(P, point, n)
     for t in range(n - r):
-        if t:
-            a_vals.append(last(a_coeffs, t + 1))
-        acc = last(b_coeffs, t + 1)
-        for i, qi in enumerate(q):
-            acc = acc + a_vals[t - i] * qi
-        q.append(-acc / a_vals[0])
-        f[r + t] = q[t] * field.q(factorial(t), factorial(r + t))
+        q_t = -coefficient(p_coeffs, t, r) / a0
+        f[r + t] = q_t * field.q(factorial(t), factorial(r + t))
     return SeriesQ(field, point, f, N)
 
 

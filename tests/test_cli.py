@@ -154,6 +154,18 @@ def test_eliminate_raw_system(capsys, tmp_path):
     assert obj["polynomial"] == "z' - 2*z"
 
 
+def test_eliminate_raw_chain_system_without_inner_family(capsys, tmp_path):
+    # the chain rule brings in y2' although the system has no y2 equation;
+    # the layer's ring is read from the prolonged generators
+    sys_file = tmp_path / "chain.sys"
+    sys_file.write_text("field: Q\ntarget: z\nmode: chain\ny1' - y1\nz - y1\n")
+    obj = run_json(capsys, "eliminate", "eliminate", "--raw", str(sys_file),
+                   "--r", "2", "--kmax", "3", expect=4)
+    assert obj["attempts"] == [{"k": 1, "rows": 2, "cols": 11},
+                               {"k": 2, "rows": 24, "cols": 66},
+                               {"k": 3, "rows": 156, "cols": 286}]
+
+
 def test_eliminate_missing_file_exit2(capsys, tmp_path):
     code, _, err = run(capsys, "eliminate", "--raw",
                        str(tmp_path / "nope.sys"), "--r", "1")

@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from dalg import DPoly, JetVar, get_field, parse_poly, parse_system
+from dalg import (DPoly, JetVar, field_from_label, get_field, parse_poly,
+                  parse_system)
 from dalg import hilbert
 from dalg.dpoly import mono_mul
 from dalg.errors import DalgError
 from dalg.hilbert import (check_dregular, check_regular_sequence, hf,
-                          hs_regular_closed_form, ring_vars)
+                          hs_regular_closed_form)
 from dalg.linalg import (MacaulayLayers, degree_monomials, modp_rank,
-                         monomial_count)
+                         monomial_count, ring_vars)
 from dalg.system import prolong
 
 from oracles import DEFAULT_JETS, dense_rank, rand_poly
@@ -94,12 +95,12 @@ def test_regular_sequence_exact_fallback_when_rows_vanish_mod_p():
     assert scaled.regular
 
 
-def _random_homogeneous_systems(seed, count):
+def _random_homogeneous_systems(seed, count, field=F):
     rng = random.Random(seed)
     for _ in range(count):
         gens = []
         while len(gens) < 3:
-            g = rand_poly(rng, F, DEFAULT_JETS[:3], max_terms=3, max_deg=2)
+            g = rand_poly(rng, field, DEFAULT_JETS[:3], max_terms=3, max_deg=2)
             if g.total_degree():
                 gens.append(g.homogenize())
         yield gens, ring_vars(gens)
@@ -121,6 +122,26 @@ def test_running_modp_ranks_give_every_prefix_rank():
                                   ncols)
                 assert at_boundary == (alone[-1] if nr else 0)
                 assert at_boundary == layers.eliminate(k, i)[0].rank
+
+
+@pytest.mark.parametrize("label", ["Qi", "Q(a;)"])
+def test_exact_running_ranks_give_every_prefix_rank(label):
+    # one exact pass per degree: the running rank at the last row of
+    # generator i is the rank of gens[:i] eliminated alone, and the
+    # regularity check reads its HF values from those ranks
+    field = field_from_label(label)
+    for gens, varkeys in _random_homogeneous_systems(47, 8, field):
+        layers = MacaulayLayers(field, gens, varkeys)
+        v, cutoff = len(varkeys), 4
+        rep = check_regular_sequence(gens, varkeys, cutoff)
+        for k in range(cutoff + 1):
+            running = layers.ranks(k)
+            assert len(running) == layers.nrows(k)
+            for i in range(1, len(gens) + 1):
+                nr = layers.nrows(k, i)
+                rank = layers.eliminate(k, i)[0].rank
+                assert (running[nr - 1] if nr else 0) == rank
+                assert rep.hf_values[i][k] == monomial_count(v, k) - rank
 
 
 def test_regular_sequence_matches_exact_prefix_ranks():

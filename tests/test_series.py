@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dalg import field_from_label, get_field, parse_poly
+from dalg import DPoly, JetVar, field_from_label, get_field, parse_poly
 from dalg.errors import DalgError, HypothesisError
 from dalg.resultant import elim_x
 from dalg.series import (SeriesQ, apply_dpoly, newton_algebraic_series,
@@ -18,7 +18,7 @@ from dalg.series import (SeriesQ, apply_dpoly, newton_algebraic_series,
                          solve_ode_series, verify_annihilator, witness,
                          witness_names)
 
-from oracles import DEFAULT_JETS, rand_poly, series_eval
+from oracles import DEFAULT_JETS, rand_coeff, rand_poly, series_eval
 
 F = get_field("Q")
 FX = get_field("Q", has_x=True)
@@ -206,6 +206,65 @@ def test_solve_ode_hypothesis_errors():
         solve_ode_series(parse_poly("y1'' + y1", F), [1], 6)
     with pytest.raises(DalgError, match="one jet family"):
         solve_ode_series(parse_poly("y1' - y2", F), [1], 6)
+
+
+def _random_linear_ode(rng, field, r):
+    """(A, B): random polynomials in the jets of y1 below order r (in x
+    alone for r = 0), for the equation A*y1^(r) + B.  A's coefficients
+    are free of the parameters, which keeps the series polynomial in them
+    and the oracle's field arithmetic small."""
+    jets = [JetVar.y(1, j) for j in range(r)]
+    plain = get_field(field.desc.kind, (), field.desc.has_x)
+    if not jets:
+        a = rand_coeff(rng, plain)
+        A = DPoly.one(plain).scale(plain.one if plain.is_zero(a) else a)
+        B = DPoly.one(field).scale(rand_coeff(rng, field))
+    else:
+        A = rand_poly(rng, plain, jets, max_terms=2, max_deg=1)
+        B = rand_poly(rng, field, jets, max_terms=3, max_deg=2)
+    return parse_poly(str(A), field), B
+
+
+_VANISHES = "leading coefficient vanishes on the initial jets"
+
+
+@pytest.mark.parametrize("r", range(4))
+@pytest.mark.parametrize("label", ["Q", "Qi", "Q(a;)", "Q(;x)", "Qi(a;x)"])
+def test_solve_ode_series_solves_random_linear_equations(label, r):
+    field = field_from_label(label)
+    rng = random.Random(f"{label}:{r}")
+    top = DPoly.var(field, JetVar.y(1, r))
+    for point in (Fraction(0), Fraction(1, 2)):
+        while True:
+            A, B = _random_linear_ode(rng, field, r)
+            init = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for _ in range(r)]
+            head = [field.from_fraction(v / factorial(j))
+                    for j, v in enumerate(init)]
+            P = A * top + B
+            if not field.is_zero(series_eval(A, {(1, 1): (head, r - 1)},
+                                             point)[0][0]):
+                break
+            # A vanishes on the initial jets: no series, draw again
+            with pytest.raises(HypothesisError, match=_VANISHES):
+                solve_ode_series(P, init, 12, point=point)
+        s = solve_ode_series(P, init, 12, point=point)
+        assert s.point == point and s.N == 12
+        assert s.coeffs[:r] == head
+        coeffs, N = series_eval(P, {(1, 1): (s.coeffs, s.N)}, point)
+        assert N == 12 - r and all(field.is_zero(c) for c in coeffs)
+        assert solve_ode_series(P, init, 6, point=point) == s.truncate(6)
+        # a leading coefficient vanishing on the initial jets
+        if r:
+            vanish = DPoly.var(field, JetVar.y(1)) - DPoly.one(field).scale(
+                field.from_fraction(init[0]))
+        elif field.desc.has_x:
+            vanish = DPoly.one(field).scale(
+                field.x() - field.from_fraction(point))
+        else:
+            continue
+        with pytest.raises(HypothesisError, match=_VANISHES):
+            solve_ode_series(vanish * A * top + B, init, 12, point=point)
 
 
 # ---------------------------------------------------------------------------
