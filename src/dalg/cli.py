@@ -550,17 +550,22 @@ def build_parser():
     return ap
 
 
+def _budget(n):
+    """The work budget scope of --budget n.  A --budget or DALG_BUDGET
+    that is not a nonnegative integer fails on entry, on every
+    subcommand, so it is a usage error and never runs a default."""
+    if n is None and not os.environ.get("DALG_BUDGET"):
+        return contextlib.nullcontext()
+    from .linalg import budget_limit, current_budget
+    return budget_limit(current_budget() if n is None else n)
+
+
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     fmt = args.format or _DEFAULT_FMT[args.subcommand]
-    if args.budget is None:
-        budget = contextlib.nullcontext()
-    else:
-        from .linalg import budget_limit
-        budget = budget_limit(args.budget)
     try:
-        with budget:
+        with _budget(args.budget):
             out, code = args.func(fmt, args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

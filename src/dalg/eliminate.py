@@ -7,6 +7,10 @@ reduced row whose leading column lies in the trailing block is then
 supported entirely on monomials in {s, y_l, ..., y_l^(r)}; setting s = 1
 turns it into an annihilator of order <= r and degree <= k.
 
+A search over k = 1..k_max prolongs and homogenizes the system once
+(AnnihilatorSearch) and eliminates one layer per k from the same
+Macaulay layers.
+
 This works inside the homogenized ideal: an inhomogeneous element of
 degree k whose homogenization has degree k' > k is only found at layer
 k'.  NotFoundAtK is therefore relative to the homogenized layer.
@@ -77,63 +81,88 @@ class NotFoundUpTo:
                              for a in self.attempts]}
 
 
-def find_annihilator(system: SystemSpec, l, r, k):
+class AnnihilatorSearch:
+    """The Macaulay layers of one search over (system, target, r).
+
+    The system is prolonged to order r - r_l, homogenized and cleared
+    into the ring of its field once, and the one MacaulayLayers in
+    layers serves every degree k, so no degree's monomials are
+    enumerated twice.  read() turns an eliminated layer into the
+    search's answer at that degree.
+    """
+
+    def __init__(self, system: SystemSpec, l, r):
+        l = l or system.target
+        fam = _family_of_label(l)
+        orders = system.orders()
+        if fam not in orders:
+            raise DalgError(f"target {l} does not appear in the system")
+        r_l = orders[fam]
+        if r < r_l:
+            raise DalgError(
+                f"r = {r} is below the target's order {r_l} in the system")
+        self.target, self.fam = l, fam
+        self.h_gens = [g.homogenize() for g in prolong(system, r - r_l)]
+        target_keys = {JetVar.s().key} | {(fam[0], fam[1], j)
+                                          for j in range(r + 1)}
+        self.layers = MacaulayLayers(system.field, self.h_gens,
+                                     ring_vars(self.h_gens), last=target_keys)
+
+    def read(self, k, elim, labels):
+        """The annihilator at the degree-k layer reduced into elim, whose
+        row tags index labels, or NotFoundAtK.
+
+        The annihilator is the echelon row at the largest pivot column
+        of the target block.  Its certificate is replayed against the
+        generators themselves, not their cleared rows, so a clearing
+        fault cannot certify itself.
+        """
+        layers, field = self.layers, self.layers.field
+        columns, _, target_start = layers.columns(k)
+        hits = [c for c in elim.pivot_of_col if c >= target_start]
+        if not hits:
+            return NotFoundAtK(k=k, rows=len(labels), cols=len(columns))
+        ridx = elim.pivot_of_col[max(hits)]
+
+        entries = elim.rows[ridx]
+        if any(c < target_start for c in entries):
+            raise DalgError(
+                "internal error: reduced row leaks non-target columns")
+        R, F = elim.ring, elim.domain
+        row_poly = DPoly(field, {columns[c]: F.convert_from(v, R)
+                                 for c, v in entries.items()}, _raw=True)
+
+        combo = DPoly.zero(field)
+        for tag, coeff in elim.trail_of(ridx).items():
+            gi, mu = labels[tag]
+            piece = DPoly(field, {mono_mul(mu, mo): c
+                                  for mo, c in self.h_gens[gi].terms.items()},
+                          _raw=True)
+            combo = combo + piece * (coeff * layers.dens[gi])
+        certified = combo == row_poly
+        if not certified:
+            raise DalgError(
+                "internal error: membership certificate failed to replay")
+
+        poly = row_poly.dehomogenize().normalize()
+        return Annihilator(poly=poly, target=self.target,
+                           order=poly.orders().get(self.fam, 0),
+                           degree=poly.total_degree(), k_searched=k,
+                           membership_certified=certified)
+
+
+def find_annihilator(system: SystemSpec, l, r, k, _search=None):
     """Search the degree-k layer of h(I)^(r - r_l) for a target-only row.
 
     Returns an Annihilator or NotFoundAtK.  l defaults to the system's
-    declared target; r is the order budget for the annihilator.
+    declared target; r is the order budget for the annihilator.  A
+    search over several k hands in its AnnihilatorSearch as _search.
     """
     if k < 1:
         raise DalgError("layer degree k must be >= 1")
-    l = l or system.target
-    fam = _family_of_label(l)
-    orders = system.orders()
-    if fam not in orders:
-        raise DalgError(f"target {l} does not appear in the system")
-    r_l = orders[fam]
-    if r < r_l:
-        raise DalgError(
-            f"r = {r} is below the target's order {r_l} in the system")
-    m = r - r_l
-    field = system.field
-    h_gens = [g.homogenize() for g in prolong(system, m)]
-    target_keys = {JetVar.s().key} | {(fam[0], fam[1], j) for j in range(r + 1)}
-    layers = MacaulayLayers(field, h_gens, ring_vars(h_gens),
-                            last=target_keys)
-    elim, labels = layers.eliminate(k, track=True)
-    columns, _, target_start = layers.columns(k)
-
-    hits = [c for c in elim.pivot_of_col if c >= target_start]
-    if not hits:
-        return NotFoundAtK(k=k, rows=len(labels), cols=len(columns))
-    best = max(hits)
-    ridx = elim.pivot_of_col[best]
-
-    entries = elim.rows[ridx]
-    if any(c < target_start for c in entries):
-        raise DalgError("internal error: reduced row leaks non-target columns")
-    R, F = elim.ring, elim.domain
-    row_poly = DPoly(field, {columns[c]: F.convert_from(v, R)
-                             for c, v in entries.items()}, _raw=True)
-
-    # the certificate is replayed against the generators themselves, not
-    # their cleared rows, so a clearing fault cannot certify itself
-    combo = DPoly.zero(field)
-    for tag, coeff in elim.trail_of(ridx).items():
-        gi, mu = labels[tag]
-        piece = DPoly(field, {mono_mul(mu, mo): c
-                              for mo, c in h_gens[gi].terms.items()}, _raw=True)
-        combo = combo + piece * (coeff * layers.dens[gi])
-    certified = combo == row_poly
-    if not certified:
-        raise DalgError("internal error: membership certificate failed to replay")
-
-    poly = row_poly.dehomogenize().normalize()
-    p_orders = poly.orders()
-    order = p_orders.get(fam, 0)
-    return Annihilator(poly=poly, target=l, order=order,
-                       degree=poly.total_degree(), k_searched=k,
-                       membership_certified=certified)
+    search = _search or AnnihilatorSearch(system, l, r)
+    elim, labels = search.layers.eliminate(k, track=True)
+    return search.read(k, elim, labels)
 
 
 def _bounds_comparison(system: SystemSpec, l, r):
@@ -158,9 +187,10 @@ def eliminate_search(system: SystemSpec, l, r, k_max):
     if k_max < 1:
         raise DalgError("k_max must be >= 1")
     l = l or system.target
+    search = AnnihilatorSearch(system, l, r)
     attempts = []
     for k in range(1, k_max + 1):
-        res = find_annihilator(system, l, r, k)
+        res = find_annihilator(system, l, r, k, _search=search)
         if isinstance(res, Annihilator):
             res.bounds_comparison = _bounds_comparison(system, l, r)
             return res

@@ -17,6 +17,19 @@ for every field: cross-multiplication by the pivots over their gcd, with
 a row made primitive when it is stored.  Entries never leave R, so no
 operation needs a gcd of fractions.
 
+The order rows are fed in is free.  The set of pivot columns depends
+only on the span of the rows and on the column order, and the echelon
+row at the largest pivot of a trailing block is, up to a scalar, the
+only element of the span supported on that block; so the annihilator
+read from it is, once normalized, the same for every feed order, and
+only its certificate differs.  The order does decide the fill-in.
+MacaulayLayers.eliminate feeds a layer's rows by descending leading
+column, ties in generator order: rows that start late are short, so
+they become pivots first and the rows that start early are reduced by
+sparse pivots.  MacaulayLayers.ranks reads the rank of each prefix of
+the generators from its running ranks, so it alone feeds generator by
+generator.
+
 With tracking on, each stored row keeps a recipe instead of a trail: the
 pivot rows it was reduced by with their multipliers, the tag of the row
 fed in, that row's multiplier and the final divisor, all folded from the
@@ -41,10 +54,11 @@ import os
 from array import array
 from contextlib import contextmanager
 from heapq import heappop, heappush
+from itertools import combinations
 from math import comb
 
 from .dpoly import JetVar, mono_mul
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, DalgError
 from .fields import clear_denominators, plain_q, primitive_divisor, ring_of
 
 DEFAULT_BUDGET = 2 * 10**7
@@ -56,8 +70,11 @@ _budget_override = None
 
 @contextmanager
 def budget_limit(n):
-    """Scoped matrix entry budget; takes precedence over DALG_BUDGET."""
+    """Scoped matrix entry budget; takes precedence over DALG_BUDGET.
+    A budget that is not a nonnegative integer raises DalgError."""
     global _budget_override
+    if not isinstance(n, int) or n < 0:
+        raise DalgError(f"budget must be a nonnegative integer, got {n!r}")
     prev = _budget_override
     _budget_override = n
     try:
@@ -67,16 +84,20 @@ def budget_limit(n):
 
 
 def current_budget():
-    """Matrix entry budget; the DALG_BUDGET variable overrides the default."""
+    """Matrix entry budget; the DALG_BUDGET variable overrides the default.
+    A DALG_BUDGET that is not a nonnegative integer raises DalgError."""
     if _budget_override is not None:
         return _budget_override
     raw = os.environ.get("DALG_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        n = int(raw)
+        if n >= 0:
+            return n
+    except ValueError:
+        pass
+    raise DalgError(f"DALG_BUDGET must be a nonnegative integer, got {raw!r}")
 
 
 def check_budget(rows, cols):
@@ -93,29 +114,32 @@ def degree_monomials(varkeys, k):
 
     varkeys must be sorted ascending; for dense exponent tuples over an
     ascending variable list, ascending tuple order is descending grevlex,
-    so the exponent tuples are emitted in plain sorted order.
+    so the exponent tuples are emitted in plain sorted order.  They come
+    from stars and bars: bars at positions b_0 < ... < b_(v-2) among
+    k + v - 1 slots give the exponents b_0, b_1 - b_0 - 1, ..., and
+    combinations() yields the bars, and so the tuples, in ascending order.
+    A plain loop, not a recursive closure: a closure that refers to
+    itself is a reference cycle, which would keep each call's lists
+    until the next garbage collection.
     """
     v = len(varkeys)
-    out = []
-
-    def rec(pos, remaining, acc):
-        if pos == v - 1:
-            acc.append(remaining)
-            out.append(tuple(acc))
-            acc.pop()
-            return
-        for e in range(remaining + 1):
-            acc.append(e)
-            rec(pos + 1, remaining - e, acc)
-            acc.pop()
-
     if v == 0:
         return [()] if k == 0 else []
-    rec(0, k, [])
     # one (variable, exponent) pair object serves every monomial using it
     pairs = [[(x, e) for e in range(k + 1)] for x in varkeys]
-    return [tuple(pairs[i][e] for i, e in enumerate(exps) if e)
-            for exps in out]
+    last, end = pairs[-1], k + v - 2
+    out = []
+    for bars in combinations(range(k + v - 1), v - 1):
+        mono = []
+        prev = -1
+        for p, b in zip(pairs, bars):
+            if b - prev - 1:
+                mono.append(p[b - prev - 1])
+            prev = b
+        if end - prev:
+            mono.append(last[end - prev])
+        out.append(tuple(mono))
+    return out
 
 
 def monomial_count(v, k):
@@ -303,20 +327,22 @@ class MacaulayLayers:
             self.terms.append(terms)
             self.dens.append(den)
         self._cols = {}
-        self._mults = {}
+        self._monos = {}
 
-    def _multipliers(self, e):
-        """Monomials of degree e, the multipliers of a generator of degree
-        k - e in layer k, in descending grevlex order."""
-        if e not in self._mults:
-            self._mults[e] = degree_monomials(self.varkeys, e)
-        return self._mults[e]
+    def _monomials(self, e):
+        """Monomials of degree e in descending grevlex order, enumerated
+        once per degree: the multipliers of a generator of degree k - e
+        in layer k, and the columns of layer e before the last block
+        moves to the end."""
+        if e not in self._monos:
+            self._monos[e] = degree_monomials(self.varkeys, e)
+        return self._monos[e]
 
     def columns(self, k):
         """(monomials, column of each monomial, first column of the last
         block) of the degree-k layer."""
         if k not in self._cols:
-            monos = degree_monomials(self.varkeys, k)
+            monos = self._monomials(k)
             tail = [] if self.last is None else [
                 m for m in monos if all(x in self.last for x, _ in m)]
             if tail:
@@ -338,15 +364,21 @@ class MacaulayLayers:
         _, index, _ = self.columns(k)
         return ((gi, mu, {index[mono_mul(mu, m)]: c for m, c in self.terms[gi]})
                 for gi, d in enumerate(self.degs[:upto]) if d <= k
-                for mu in self._multipliers(k - d))
+                for mu in self._monomials(k - d))
 
     def eliminate(self, k, upto=None, track=False):
         """Row-reduce the degree-k layer of gens[:upto].
 
-        Returns the eliminator and the (gi, mu) of each row; a row's tag
-        is its position in that list.
+        Rows are fed by descending leading column (their smallest column
+        index), ties in generator order.  The order is free, since the
+        pivot columns depend only on the row span and the column order
+        (see the module docstring), and this one makes little fill-in:
+        rows that start late are short, and the pivots they make are
+        what the rows fed after them are reduced by.  Returns the
+        eliminator and the (gi, mu) of each row in feed order; a row's
+        tag is its position in that list.
         """
-        rows = self.rows(k, upto)
+        rows = sorted(self.rows(k, upto), key=lambda r: -min(r[2], default=0))
         elim = SparseEliminator(len(self.columns(k)[0]), self.field, track)
         labels = []
         for gi, mu, row in rows:
@@ -356,7 +388,9 @@ class MacaulayLayers:
 
     def ranks(self, k):
         """Exact running ranks of the degree-k layer, as modp_rank gives
-        them: entry j is the rank of its first j + 1 rows."""
+        them: entry j is the rank of its first j + 1 rows.  Rows are fed
+        in generator order, unlike eliminate, so the entry at each
+        generator's last row is the rank of that prefix."""
         rows = self.rows(k)
         elim = SparseEliminator(len(self.columns(k)[0]), self.field)
         out = array("l")

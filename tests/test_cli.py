@@ -296,6 +296,37 @@ def test_negative_cutoff_exit2(capsys, tmp_path, sub, cutoff):
     assert err == "error: cutoff must be nonnegative\n"
 
 
+PROD_ARGS = ("eliminate", "--prod", "--p", "y1' - y1", "--p", "y2' - y2",
+             "--r", "1")
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1e6"])
+def test_bad_budget_variable_exit2(capsys, monkeypatch, value):
+    # never a silent run under the default budget, nor an abort that
+    # reports a negative budget
+    monkeypatch.setenv("DALG_BUDGET", value)
+    code, out, err = run(capsys, *PROD_ARGS)
+    assert (code, out) == (2, "")
+    assert err == (f"error: DALG_BUDGET must be a nonnegative integer, "
+                   f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    PROD_ARGS,
+    ("bound", "--thm", "--d", "2", "--rmin", "2", "--rl", "1", "--r", "2")],
+    ids=["eliminate", "bound"])
+def test_negative_budget_flag_exit2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: budget must be a nonnegative integer, got -1\n"
+
+
+def test_budget_flag_overrides_bad_variable(capsys, monkeypatch):
+    monkeypatch.setenv("DALG_BUDGET", "abc")
+    code, _, err = run(capsys, *PROD_ARGS, "--budget", "10")
+    assert code == 3 and err.endswith("exceeds budget 10\n")
+
+
 def test_system_parse_error_exit2(capsys, tmp_path):
     sys_file = tmp_path / "bad.sys"
     sys_file.write_text("field: Q\ntarget: z\nthis is (not a poly\n")

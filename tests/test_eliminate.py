@@ -4,12 +4,13 @@
 import pytest
 
 from dalg import get_field, parse_poly, parse_system
-from dalg.eliminate import (Annihilator, NotFoundAtK, NotFoundUpTo,
-                            composition_system, eliminate_search,
-                            find_annihilator, rational_system,
-                            sum_product_system)
+from dalg import eliminate as eliminate_mod
+from dalg.eliminate import (Annihilator, AnnihilatorSearch, NotFoundAtK,
+                            NotFoundUpTo, composition_system,
+                            eliminate_search, find_annihilator,
+                            rational_system, sum_product_system)
 from dalg.errors import BudgetExceededError, DalgError
-from dalg.linalg import budget_limit
+from dalg.linalg import SparseEliminator, budget_limit
 from dalg.series import series_arith, verify_annihilator, witness
 
 F = get_field("Q")
@@ -41,9 +42,13 @@ def test_product_not_found_in_first_layer():
     assert res.k == 1 and res.rows == 4 and res.cols == 9
 
 
-def test_sum_of_exp_and_tan():
+def _exp_tan_sum():
     comps = [(_parse("y1' - y1"), 1), (_parse("y2' - 1 - y2^2"), 1)]
-    system = sum_product_system(comps, _parse("y1 + y2"))
+    return sum_product_system(comps, _parse("y1 + y2"))
+
+
+def test_sum_of_exp_and_tan():
+    system = _exp_tan_sum()
     ann = eliminate_search(system, "z", 2, 6)
     assert isinstance(ann, Annihilator)
     assert ann.order == 2 and ann.degree == 3
@@ -117,7 +122,22 @@ def test_parameter_sum_keeps_rational_coefficients():
     assert str(ann.poly) == "6*z'' - 3*a*z' - 4*z' + 2*a*z"
 
 
-def test_quartic_pair_has_no_low_order_annihilator():
+@pytest.fixture
+def prolong_calls(monkeypatch):
+    """The arguments of every call of the prolong that eliminate uses."""
+    calls = []
+    real = eliminate_mod.prolong
+
+    def prolong(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(eliminate_mod, "prolong", prolong)
+    return calls
+
+
+def test_quartic_pair_has_no_low_order_annihilator(prolong_calls):
+    # the search prolongs its system once and reuses the layers for
+    # every k; each attempt still reports its full layer
     system = parse_system(
         "field: Q\ntarget: y2\n"
         "y1*y1'' - y1'^2\n(y2 - y1)^2 + (y2' - y1')^4\n")
@@ -126,6 +146,41 @@ def test_quartic_pair_has_no_low_order_annihilator():
     assert res.k_max == 6 and len(res.attempts) == 6
     assert [(a.rows, a.cols) for a in res.attempts] == [
         (0, 10), (3, 55), (30, 220), (168, 715), (690, 2002), (2310, 5005)]
+    assert prolong_calls == [(system, 2)]
+
+
+def test_search_prolongs_once_per_search(prolong_calls):
+    system = _exp_tan_sum()
+    assert eliminate_search(system, "z", 2, 6).k_searched == 4
+    assert prolong_calls == [(system, 2)]
+    # a layer searched on its own prolongs for itself
+    assert isinstance(find_annihilator(system, "z", 2, 3), NotFoundAtK)
+    assert len(prolong_calls) == 2
+
+
+def test_descending_feed_stores_fewer_nonzeros():
+    # the exp+tan sum layer at k = 4, the largest of the search: fed by
+    # descending leading column it stores fewer nonzeros than fed in
+    # generator order, with the same pivots and annihilator
+    search = AnnihilatorSearch(_exp_tan_sum(), "z", 2)
+    layers = search.layers
+    fed, labels = layers.eliminate(4, track=True)
+    plain = SparseEliminator(len(layers.columns(4)[0]), layers.field, True)
+    for _, _, row in layers.rows(4):
+        plain.add_row(row)
+    assert set(fed.pivot_of_col) == set(plain.pivot_of_col)
+    assert len(labels) == 2418 and fed.rank == 1299
+    nnz_fed = sum(len(row) for row in fed.rows)
+    nnz_plain = sum(len(row) for row in plain.rows)
+    assert nnz_fed < nnz_plain
+    assert (nnz_fed, nnz_plain) == (3260, 4265)
+    # labels follow the feed: leading columns descend, ties in
+    # generator order
+    position = {(gi, mu): (-min(row), j)
+                for j, (gi, mu, row) in enumerate(layers.rows(4))}
+    keys = [position[label] for label in labels]
+    assert keys == sorted(keys)
+    assert search.read(4, fed, labels).k_searched == 4
 
 
 def test_budget_is_enforced():

@@ -19,9 +19,11 @@ import random
 import pytest
 
 from dalg import DPoly, JetVar, field_from_label, get_field, parse_poly
-from dalg.eliminate import (Annihilator, composition_system, eliminate_search,
-                            rational_system, sum_product_system)
+from dalg.eliminate import (Annihilator, AnnihilatorSearch, composition_system,
+                            eliminate_search, rational_system,
+                            sum_product_system)
 from dalg.hilbert import check_dregular
+from dalg.linalg import SparseEliminator
 from dalg.series import _embed
 from dalg.system import SystemSpec
 
@@ -131,3 +133,47 @@ def test_lift_keeps_the_hilbert_profile(name, system, rho):
         # a permutation keeps only the Hilbert function of the full ideal
         n = 1 if reverse else 3
         assert got[:n] == want[:n], t
+
+
+def _fed(layers, k, rows):
+    """A tracked eliminator of (gi, mu, row) triples fed in list order,
+    and their labels."""
+    elim = SparseEliminator(len(layers.columns(k)[0]), layers.field, True)
+    for tag, (_, _, row) in enumerate(rows):
+        elim.add_row(row, tag)
+    return elim, [(gi, mu) for gi, mu, _ in rows]
+
+
+def _outcome_at(res):
+    if isinstance(res, Annihilator):
+        assert res.membership_certified
+        return str(res.poly), res.order, res.degree
+    return res.k, res.rows, res.cols
+
+
+# the Q(i) case has generators scaled by units and non-units of Z[i]
+FEED_CASES = CASES + [("sum-Qi-scaled", _transform(CASES[1][1], "Qi-scaled"),
+                       *CASES[1][2:])]
+
+
+@pytest.mark.parametrize("name, system, r, k_max", FEED_CASES,
+                         ids=[c[0] for c in FEED_CASES])
+def test_feed_order_keeps_pivots_and_annihilator(name, system, r, k_max):
+    # a layer fed in generator order, by descending leading column
+    # (MacaulayLayers.eliminate) and in a seeded random order spans the
+    # same rows, so it has the same pivot columns and the same
+    # annihilator; read() replays each order's own certificate
+    rng = random.Random(name)
+    search = AnnihilatorSearch(system, system.target, r)
+    layers = search.layers
+    for k in range(1, k_max + 1):
+        rows = list(layers.rows(k))
+        shuffled = rng.sample(rows, len(rows))
+        elims = [_fed(layers, k, rows), layers.eliminate(k, track=True),
+                 _fed(layers, k, shuffled)]
+        pivots = [set(elim.pivot_of_col) for elim, _ in elims]
+        outcomes = [_outcome_at(search.read(k, elim, labels))
+                    for elim, labels in elims]
+        assert pivots[0] == pivots[1] == pivots[2], (k, "pivots")
+        assert outcomes[0] == outcomes[1] == outcomes[2], k
+

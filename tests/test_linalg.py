@@ -2,15 +2,17 @@
 trails replayed row by row, the mod-p rank engine, budgets, and monomial
 layer enumeration."""
 
+import gc
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 
 from dalg import JetVar, field_from_label, get_field, parse_poly, parse_system
 from dalg.eliminate import find_annihilator
-from dalg.errors import BudgetExceededError
+from dalg.errors import BudgetExceededError, DalgError
 from dalg.fields import clear_denominators, ring_of
 from dalg.hilbert import check_dregular, hf
 from dalg.linalg import (MOD_P, SparseEliminator, budget_limit, check_budget,
@@ -198,8 +200,24 @@ def test_budget_env_override(monkeypatch):
     assert current_budget() == 2 * 10**7
     monkeypatch.setenv("DALG_BUDGET", "123")
     assert current_budget() == 123
-    monkeypatch.setenv("DALG_BUDGET", "junk")
+    monkeypatch.setenv("DALG_BUDGET", "")
     assert current_budget() == 2 * 10**7
+    # a value that is not a nonnegative integer is an error, not the
+    # default
+    for bad in ("junk", "-5", "1e6"):
+        monkeypatch.setenv("DALG_BUDGET", bad)
+        with pytest.raises(DalgError, match="DALG_BUDGET must be a "
+                                            "nonnegative integer"):
+            current_budget()
+    with budget_limit(0):
+        assert current_budget() == 0
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, "10"])
+def test_budget_limit_rejects_bad_values(n):
+    with pytest.raises(DalgError, match="budget must be a nonnegative"):
+        with budget_limit(n):
+            pass
 
 
 def test_degree_monomials_order_and_count():
@@ -212,3 +230,17 @@ def test_degree_monomials_order_and_count():
             assert sum(e for _, e in m) == k
         # emitted in a fixed deterministic order
         assert monos == degree_monomials(sorted(keys), k)
+
+
+@pytest.mark.parametrize("v", range(5))
+def test_degree_monomials_are_sorted_exponent_tuples(v):
+    # the documented order: exponent tuples over the ascending variables
+    # in ascending order; and a call leaves no garbage in a cycle
+    keys = list(range(v))
+    for k in range(6):
+        want = [tuple((x, e) for x, e in zip(keys, exps) if e)
+                for exps in sorted(product(range(k + 1), repeat=v))
+                if sum(exps) == k]
+        gc.collect()
+        assert degree_monomials(keys, k) == want
+        assert gc.collect() == 0
