@@ -190,6 +190,15 @@ def cmd_curve(fmt, args):
 # ---------------------------------------------------------------------------
 # eliminate
 
+def _point(text):
+    """The rational expansion point of --point."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DalgError(
+            f"--point must be a rational number, got {text!r}") from None
+
+
 def _parse_witnesses(specs, n, point):
     from .series import witness
     wit = {}
@@ -248,7 +257,7 @@ def cmd_eliminate(fmt, args):
         raise DalgError(
             "choose exactly one of --raw FILE, --sum, --prod, --div, "
             "--compose")
-    point = Fraction(args.point)
+    point = _point(args.point)
 
     if args.raw is not None:
         with open(args.raw, encoding="utf-8") as fh:
@@ -325,7 +334,7 @@ def cmd_reselim(fmt, args):
     else:
         ann = elim_x(p)
 
-    wit = _parse_witnesses(args.witness, args.trunc, Fraction(args.point))
+    wit = _parse_witnesses(args.witness, args.trunc, _point(args.point))
     if wit:
         verify_annihilator(ann, wit)
     return _pick(fmt, args,
@@ -392,7 +401,7 @@ def cmd_verify(fmt, args):
     from .series import apply_dpoly
     field = field_from_label(args.field)
     p = parse_poly(args.poly, field)
-    wit = _parse_witnesses(args.witness, args.trunc, Fraction(args.point))
+    wit = _parse_witnesses(args.witness, args.trunc, _point(args.point))
     if not wit:
         raise DalgError("verify needs at least one --witness label=name")
     residual = apply_dpoly(p, wit)

@@ -371,7 +371,14 @@ class DPoly:
         return DPoly(self.field, out, _raw=True)
 
     def dehomogenize(self):
-        return self.substitute({JetVar.s(): 1})
+        """self with s = 1: s leaves each monomial, and the coefficients
+        of monomials that become equal are summed."""
+        skey = JetVar.s().key
+        out = {}
+        for m, c in self.terms.items():
+            m = tuple(p for p in m if p[0] != skey)
+            out[m] = out[m] + c if m in out else c
+        return DPoly(self.field, out)
 
     def is_homogeneous(self):
         degs = {mono_deg(m) for m in self.terms}

@@ -16,8 +16,11 @@ degree k whose homogenization has degree k' > k is only found at layer
 k'.  NotFoundAtK is therefore relative to the homogenized layer.
 
 Every returned annihilator carries an exact membership certificate: the
-reduction trail is replayed as a polynomial identity against the
-prolonged generators.
+reduction trail, as numerators over one denominator in the ring of the
+field, is replayed as a polynomial identity over that ring against the
+cleared prolonged generators, and each generator it uses is checked
+against its clearing (dens[gi] * h_gens[gi] == terms[gi]) once per
+search.
 """
 
 from __future__ import annotations
@@ -107,15 +110,20 @@ class AnnihilatorSearch:
                                           for j in range(r + 1)}
         self.layers = MacaulayLayers(system.field, self.h_gens,
                                      ring_vars(self.h_gens), last=target_keys)
+        self._checked = {}
 
     def read(self, k, elim, labels):
         """The annihilator at the degree-k layer reduced into elim, whose
         row tags index labels, or NotFoundAtK.
 
         The annihilator is the echelon row at the largest pivot column
-        of the target block.  Its certificate is replayed against the
-        generators themselves, not their cleared rows, so a clearing
-        fault cannot certify itself.
+        of the target block.  Its certificate is replayed in the ring R
+        of the field: the trail's numerators over their denominator den
+        must give sum num * mu * terms[gi] == den * row, with terms[gi]
+        the cleared terms of generator gi.  Each generator the trail
+        uses is also checked against the generator itself, dens[gi] *
+        h_gens[gi] == terms[gi], once per search, so a clearing fault
+        fails the certificate too.
         """
         layers, field = self.layers, self.layers.field
         columns, _, target_start = layers.columns(k)
@@ -129,26 +137,50 @@ class AnnihilatorSearch:
             raise DalgError(
                 "internal error: reduced row leaks non-target columns")
         R, F = elim.ring, elim.domain
-        row_poly = DPoly(field, {columns[c]: F.convert_from(v, R)
-                                 for c, v in entries.items()}, _raw=True)
-
-        combo = DPoly.zero(field)
-        for tag, coeff in elim.trail_of(ridx).items():
+        nums, den = elim.trail_numerators(ridx)
+        combo = {}
+        for tag, w in nums.items():
             gi, mu = labels[tag]
-            piece = DPoly(field, {mono_mul(mu, mo): c
-                                  for mo, c in self.h_gens[gi].terms.items()},
-                          _raw=True)
-            combo = combo + piece * (coeff * layers.dens[gi])
-        certified = combo == row_poly
+            for mo, c in layers.terms[gi]:
+                m = mono_mul(mu, mo)
+                v = combo.get(m, R.zero) + w * c
+                if v:
+                    combo[m] = v
+                else:
+                    combo.pop(m, None)
+        certified = (combo == {columns[c]: den * v for c, v in entries.items()}
+                     and all(self._cleared(gi, R, F)
+                             for gi in {labels[tag][0] for tag in nums}))
         if not certified:
             raise DalgError(
                 "internal error: membership certificate failed to replay")
 
+        row_poly = DPoly(field, {columns[c]: F.convert_from(v, R)
+                                 for c, v in entries.items()}, _raw=True)
         poly = row_poly.dehomogenize().normalize()
         return Annihilator(poly=poly, target=self.target,
                            order=poly.orders().get(self.fam, 0),
                            degree=poly.total_degree(), k_searched=k,
                            membership_certified=certified)
+
+    def _cleared(self, gi, R, F):
+        """Whether dens[gi] * h_gens[gi] == terms[gi], checked once per
+        generator and search in R: with dens[gi] = a/b and a coefficient
+        n/d of the generator, a cleared term v must have v*b*d == a*n."""
+        if gi not in self._checked:
+            K = R.get_field()
+            den = K.convert_from(self.layers.dens[gi], F)
+            a, b = K.numer(den), K.denom(den)
+            cleared = dict(self.layers.terms[gi])
+            terms = self.h_gens[gi].terms
+
+            def agrees(m, c):
+                c = K.convert_from(c, F)
+                return cleared[m] * b * K.denom(c) == a * K.numer(c)
+            self._checked[gi] = (
+                bool(a) and cleared.keys() == terms.keys()
+                and all(agrees(m, c) for m, c in terms.items()))
+        return self._checked[gi]
 
 
 def find_annihilator(system: SystemSpec, l, r, k, _search=None):

@@ -34,11 +34,11 @@ With tracking on, each stored row keeps a recipe instead of a trail: the
 pivot rows it was reduced by with their multipliers, the tag of the row
 fed in, that row's multiplier and the final divisor, all folded from the
 reduction steps in R.  Recording a recipe costs no more than the
-elimination it records.  trail_of() expands the recipes on demand, in R
-over one common denominator, into an exact combination over the field of
-the rows fed in.  Callers replay it as a membership certificate against
-the generators themselves, so a fault in clearing fails the certificate
-too.
+elimination it records.  trail_numerators() expands the recipes on
+demand into numerators in R over one common denominator: an exact
+combination of the rows fed in, which callers replay in R as a
+membership certificate.  trail_of() divides it once into coefficients
+of the field.
 
 modp_rank reduces the same sparse integer rows over F_p with plain
 integer arithmetic and reports the rank after every row, so one pass
@@ -242,8 +242,10 @@ class SparseEliminator:
             return None
         return self._add(dict(row), tag, [] if self.track else None)
 
-    def trail_of(self, i):
-        """Stored row i as a combination {tag: coefficient} of the input rows.
+    def trail_numerators(self, i):
+        """Stored row i as (numerators, den) in R, with row i equal to
+        sum numerators[tag] * input / den over the input rows fed in
+        under each tag.  Row i must have been stored with tracking on.
 
         Expands the recipes on demand: rows are visited in descending
         index order, so a row's weight is final before its recipe hands
@@ -252,13 +254,10 @@ class SparseEliminator:
         with a divisor other than one multiplies by it.  A weight keeps
         the denominator it was last written over and is brought up to
         the current one when it is next read, so a divisor costs nothing
-        for the weights it does not reach.  Coefficients are elements of
-        the field (Fractions over plain Q), each divided once at the end;
-        tags whose coefficients cancel are left out.
+        for the weights it does not reach.  Tags whose numerators cancel
+        are left out.
         """
-        if self.trails[i] is None:
-            return None
-        R, F = self.ring, self.domain
+        R = self.ring
         one = R.one
         dens = [one]    # dens[k]: the common denominator after k divisors
         factors = {}    # k -> dens[-1] // dens[k]
@@ -293,9 +292,19 @@ class SparseEliminator:
                 else:
                     weight[p] = (-(w * b), top)
                     heappush(heap, -p)
-        d = F.convert_from(dens[-1], R)
-        return {t: F.convert_from(lift(*v), R) / d
-                for t, v in out.items() if v[0]}
+        return {t: lift(*v) for t, v in out.items() if v[0]}, dens[-1]
+
+    def trail_of(self, i):
+        """Stored row i as a combination {tag: coefficient} of the input
+        rows, or None without tracking.  Coefficients are elements of the
+        field (Fractions over plain Q): trail_numerators divided once by
+        its denominator."""
+        if self.trails[i] is None:
+            return None
+        R, F = self.ring, self.domain
+        nums, den = self.trail_numerators(i)
+        d = F.convert_from(den, R)
+        return {t: F.convert_from(v, R) / d for t, v in nums.items()}
 
 
 # ---------------------------------------------------------------------------

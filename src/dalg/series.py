@@ -13,9 +13,10 @@ polynomials in the parameters and x otherwise): jets and coefficients
 are numerators in R over one common denominator, so no sum or product
 takes a gcd of fractions.  verify_annihilator tests a residual by its
 numerators alone; apply_dpoly divides once at the end.  The series
-solver, solve_ode_series, fixes each coefficient of a solution of
-A*y^(r) + B = 0 from one such evaluation of the whole equation on the
-coefficients fixed before it, and one division in the field.
+solver, solve_ode_series, evaluates the equation A*y^(r) + B = 0
+online, in the same ring: the step that fixes coefficient r + t of the
+solution computes coefficient t of every jet power and product in the
+equation, one convolution sum each, and one division in the field.
 newton_algebraic_series has no solver of its own; it returns the ODE
 solver's series for the derivative of its algebraic equation.
 """
@@ -469,6 +470,23 @@ def solve_ode_series(P: DPoly, initial, N, point=0) -> SeriesQ:
 # newton_algebraic_series calls this body, not the public name, so that a
 # wrapper timing each public name (perfbench's trace) counts its series once
 def _solve_ode(P, initial, N, point):
+    """The series of solve_ode_series, computed online in the ring R.
+
+    P = A*f^(r) + B, where A and B take jets below order r only.  With
+    q_t = (r+t)!/t! * f_(r+t) the coefficients of f^(r), coefficient t
+    of P(f) is B_t + sum_(i<=t) A_(t-i) q_i, so P(f)_t = 0 fixes q_t =
+    -(B_t + sum_(i<t) A_(t-i) q_i) / A_0.  Step t computes coefficient t
+    of every jet below order r, of every jet power and of every partial
+    product of a term of P (all their factors are known by then), and
+    for a term with f^(r) the sum over i < t against the q_i: one
+    convolution sum each, O(t) ring products in all.  Every stored
+    coefficient is that of the true series.  The lists are numerators
+    over the common denominator D of the coefficients fixed so far (a
+    list of jet degree e over D^e, a term's coefficients over their own
+    denominator too), and when a new coefficient widens D they are
+    rescaled.  Each coefficient is reduced by one gcd in R and divided
+    once into the field.
+    """
     field = P.field
     fams = set(P.orders())
     if len(fams) != 1:
@@ -492,27 +510,104 @@ def _solve_ode(P, initial, N, point):
         if j < n:
             f[j] = c / field.q(factorial(j))
 
-    def coefficient(coefficients, t, order):
-        """Coefficient t of a polynomial in jets up to `order` on f."""
-        jets, den = _jets(field, {fam: (f[:order + t + 1], order)})
-        nums, vden = _eval_terms(ring_of(field)[0], coefficients, jets, den,
-                                 t + 1)
-        return _to_field(field, nums[-1:], vden)[0]
-
-    a0 = coefficient(_coefficients(by_deg[1], point, 1), 0, r - 1)
-    if field.is_zero(a0):
+    R, F = ring_of(field)
+    nums, a0_den = _eval_terms(R, _coefficients(by_deg[1], point, 1),
+                               *_jets(field, {fam: (f[:r], r - 1)}), 1)
+    a0 = nums[0]        # A_0 = a0 / a0_den
+    if not a0:
         raise HypothesisError(
             "leading coefficient vanishes on the initial jets; the series "
             "is not determined")
-    # P = A*f^(r) + B with f^(r) = q, q_t = (r+t)!/t! * f_(r+t).  A and B
-    # take jets below order r only, so while f_(r+t) is still 0, coefficient
-    # t of P(f) is B_t + sum_(i<t) A_(t-i) q_i, and P(f)_t = 0 asks for
-    # q_t = -P(f)_t / A_0: step t fixes f_(r+t) from one evaluation of P.
-    p_coeffs = _coefficients(P, point, n)
+    terms, cden = _coefficients(P, point, n)
+    one, zero = R.one, R.zero
+    fn, jet = [], [[] for _ in range(r + 1)]    # f and its jets, over D
+    kept = [(fn, 1)] + [(js, 1) for js in jet]  # (list, its power of D)
+    products = []       # (a, b, out): out[t] is coefficient t of a*b
+    powers = {(o, 1): js for o, js in enumerate(jet)}
+
+    def power(o, e):
+        """The list of (f^(o))^e.  A loop, not recursion: a closure that
+        calls itself is a reference cycle, which would keep every list
+        of the call until the next garbage collection."""
+        for d in range(2, e + 1):
+            if (o, d) not in powers:
+                powers[(o, d)] = out = []
+                products.append((powers[(o, d - 1)], jet[o], out))
+                kept.append((out, d))
+        return powers[(o, e)]
+
+    degree = max(deg for *_, deg in terms)
+    plan = []   # (power of D that scales it, partial product, times q)
+    for cnums, m, deg in terms:
+        part, e_part, with_q = cnums, 0, False
+        for v, e in m:
+            if v[2] == r:
+                with_q = True
+                continue
+            out = []
+            products.append((part, power(v[2], e), out))
+            e_part += e
+            kept.append((out, e_part))
+            part = out
+        plan.append((degree - deg, part, with_q))
+
+    D, scale = one, None
+
+    def push(num, den):
+        """Append the coefficient num/den of f to fn, widening D."""
+        nonlocal D, scale
+        if den != one and den != D:
+            wide = R.lcm(D, den)
+            u = wide // D
+            if u != one:
+                us = [one, u]
+                for values, e in kept:
+                    while len(us) <= e:
+                        us.append(us[-1] * u)
+                    values[:] = [v * us[e] for v in values]
+                D, scale = wide, None
+        fn.append(num * (D // den))
+
+    K = R.get_field()
+    for c in f[:r]:
+        c = K.convert_from(c, F)
+        push(K.numer(c), K.denom(c))
     for t in range(n - r):
-        q_t = -coefficient(p_coeffs, t, r) / a0
-        f[r + t] = q_t * field.q(factorial(t), factorial(r + t))
+        for o in range(r):
+            jet[o].append(fn[t + o] * (factorial(t + o) // factorial(t)))
+        for a, b, out in products:
+            out.append(_product_coefficient(a, b, t, zero))
+        if scale is None:
+            scale = [one]
+            for _ in range(degree):
+                scale.append(scale[-1] * D)
+        acc = zero
+        for e, part, with_q in plan:
+            v = (_product_coefficient(part, jet[r], t, zero) if with_q
+                 else part[t])
+            if v:
+                acc += v * scale[e]
+        # acc / (cden * D^degree) is P(f)_t with q_t = 0, so f_(r+t) =
+        # q_t * t!/(r+t)! = -acc / (cden * D^degree * A_0) * t!/(r+t)!
+        num = -acc * a0_den * factorial(t)
+        den = cden * scale[degree] * a0 * factorial(r + t)
+        g = R.gcd(num, den)
+        num, den = num // g, den // g
+        f[r + t] = _to_field(field, [num], den)[0]
+        push(num, den)
+        jet[r].append(fn[r + t] * (factorial(r + t) // factorial(t)))
     return SeriesQ(field, point, f, N)
+
+
+def _product_coefficient(a, b, t, zero):
+    """Coefficient t of the product of the series with coefficient lists
+    a and b; entries b does not have yet count as 0."""
+    acc = zero
+    for i in range(max(0, t + 1 - len(b)), t + 1):
+        u, v = a[i], b[t - i]
+        if u and v:
+            acc += u * v
+    return acc
 
 
 def newton_algebraic_series(Qg: DPoly, y0, N, point=0) -> SeriesQ:

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: dense Fraction arithmetic, no
-sharing with the package's own elimination or resultant code paths.
+sharing with the package's own elimination or resultant code paths,
+and certificates replayed over the field, not its ring.
 """
 
 from __future__ import annotations
@@ -131,3 +132,30 @@ def series_eval(P, witnesses, point=0):
                 term = mul(term, jet((f, i), o))
         total = [u + v for u, v in zip(total, term)]
     return total, N
+
+
+def field_replay(search, k, elim, labels):
+    """The membership certificate of the annihilator row of a reduced
+    degree-k layer of an eliminate.AnnihilatorSearch, replayed over the
+    field: None when the layer has no annihilator row, else whether the
+    row equals sum coeff * mu * dens[gi] * h_gens[gi] over the row's
+    trail (elim.trail_of, coefficients in the field), with every product
+    a DPoly product of field elements and generators read as they are,
+    not as their cleared rows.
+    """
+    layers = search.layers
+    field = layers.field
+    columns, _, start = layers.columns(k)
+    hits = [c for c in elim.pivot_of_col if c >= start]
+    if not hits:
+        return None
+    ridx = elim.pivot_of_col[max(hits)]
+    R, F = elim.ring, elim.domain
+    row = DPoly(field, {columns[c]: F.convert_from(v, R)
+                        for c, v in elim.rows[ridx].items()})
+    combo = DPoly.zero(field)
+    for tag, coeff in elim.trail_of(ridx).items():
+        gi, mu = labels[tag]
+        piece = DPoly(field, {mu: field.one}) * search.h_gens[gi]
+        combo = combo + piece * (coeff * layers.dens[gi])
+    return combo == row

@@ -361,6 +361,34 @@ def test_verify_unsupported_format_exit2(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+# the three subcommands that expand witnesses at --point, and the key of
+# their series verdict
+_POINT_ARGV = {
+    "eliminate": (("eliminate", "--prod", "--p", "y1' - y1", "--p",
+                   "y2' - y2", "--r", "1", "--witness", "z=exp2x"),
+                  "series_certified"),
+    "reselim": (("reselim", "--hyperexp", "--p", "y2 - y1", "--u", "2*x",
+                 "--v", "1", "--witness", "y2=exp_x2"), "series_certified"),
+    "verify": (("verify", "--poly", "z' - 2*z", "--witness", "z=exp2x"),
+               "certified"),
+}
+
+
+@pytest.mark.parametrize("point", ["1/0", "abc"])
+@pytest.mark.parametrize("sub", sorted(_POINT_ARGV))
+def test_bad_point_exit2(capsys, sub, point):
+    code, out, err = run(capsys, *_POINT_ARGV[sub][0], "--point", point)
+    assert code == 2 and out == ""
+    assert err == f"error: --point must be a rational number, got {point!r}\n"
+
+
+@pytest.mark.parametrize("sub", sorted(_POINT_ARGV))
+def test_rational_point_certifies(capsys, sub):
+    argv, verdict = _POINT_ARGV[sub]
+    obj = run_json(capsys, sub, *argv, "--point", "1/2")
+    assert obj[verdict] is True
+
+
 def test_experiment_json(capsys):
     obj = run_json(capsys, "experiment", "experiment", "--n", "1", "--d",
                    "3", "--seed", "42")

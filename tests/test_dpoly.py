@@ -87,6 +87,17 @@ def test_homogenize_dehomogenize_round_trip():
             assert h.dehomogenize() == p
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.desc.label)
+def test_dehomogenize_merges_and_cancels(field):
+    # not homogeneous: s*y1 and 2*y1 merge into 3*y1, s^2*y2' and -y2'
+    # cancel, s^3 becomes the constant 1 and y1*y2 stays as it is
+    p = parse_poly("s*y1 + 2*y1 + s^2*y2' - y2' + s^3 + y1*y2", field)
+    assert not p.is_homogeneous() and len(p.terms) == 6
+    d = p.dehomogenize()
+    assert d == p.substitute({JetVar.s(): 1})
+    assert d == parse_poly("3*y1 + 1 + y1*y2", field)
+
+
 def test_parse_round_trip_200_instances():
     n = 0
     rng = random.Random(16)

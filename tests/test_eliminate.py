@@ -1,9 +1,12 @@
 """Annihilator search by Macaulay-layer elimination: closure presets
 (sum, product, quotient, composition), certificates, and bound context."""
 
+import random
+
 import pytest
 
-from dalg import get_field, parse_poly, parse_system
+from dalg import (DPoly, JetVar, field_from_label, get_field, parse_poly,
+                  parse_system)
 from dalg import eliminate as eliminate_mod
 from dalg.eliminate import (Annihilator, AnnihilatorSearch, NotFoundAtK,
                             NotFoundUpTo, composition_system,
@@ -12,6 +15,9 @@ from dalg.eliminate import (Annihilator, AnnihilatorSearch, NotFoundAtK,
 from dalg.errors import BudgetExceededError, DalgError
 from dalg.linalg import SparseEliminator, budget_limit
 from dalg.series import series_arith, verify_annihilator, witness
+from dalg.system import SystemSpec
+
+from oracles import field_replay, rand_poly
 
 F = get_field("Q")
 
@@ -109,14 +115,17 @@ def test_gaussian_parameter_system():
         " - 8*i*c^2*y2*y2' + 4*i*c^3*y2^2 + y2' - c*y2")
 
 
-def test_parameter_sum_keeps_rational_coefficients():
-    # 1/2 and 2/3 must survive clearing into Z[a]: a clearing that loses
-    # a denominator changes the annihilator and fails its certificate
+def _parameter_sum():
     field = get_field("Q", params=("a",))
     comps = [(_parse("y1' - 1/2*a*y1", field), 1),
              (_parse("y2' - 2/3*y2", field), 1)]
-    system = sum_product_system(comps, _parse("y1 + y2", field))
-    ann = eliminate_search(system, "z", 2, 4)
+    return sum_product_system(comps, _parse("y1 + y2", field))
+
+
+def test_parameter_sum_keeps_rational_coefficients():
+    # 1/2 and 2/3 must survive clearing into Z[a]: a clearing that loses
+    # a denominator changes the annihilator and fails its certificate
+    ann = eliminate_search(_parameter_sum(), "z", 2, 4)
     assert isinstance(ann, Annihilator)
     assert ann.membership_certified
     assert str(ann.poly) == "6*z'' - 3*a*z' - 4*z' + 2*a*z"
@@ -181,6 +190,121 @@ def test_descending_feed_stores_fewer_nonzeros():
     keys = [position[label] for label in labels]
     assert keys == sorted(keys)
     assert search.read(4, fed, labels).k_searched == 4
+
+
+# ---------------------------------------------------------------------------
+# membership certificates: the ring replay and the field oracle
+
+# (system, r, k): a layer whose annihilator's certificate uses cleared
+# generators with denominators 1 (Q) and with 2 and 3 (Q(a;))
+CERTIFIED = {"prod": (_exp_exp_product, 1, 2),
+             "parameter-sum": (_parameter_sum, 2, 1)}
+
+
+def _layer(name):
+    """A fresh search of a CERTIFIED case, its eliminated layer and the
+    generators and tags the annihilator's trail uses."""
+    build, r, k = CERTIFIED[name]
+    search = AnnihilatorSearch(build(), "z", r)
+    elim, labels = search.layers.eliminate(k, track=True)
+    columns, _, start = search.layers.columns(k)
+    ridx = elim.pivot_of_col[max(c for c in elim.pivot_of_col if c >= start)]
+    tags = elim.trail_numerators(ridx)[0]
+    return search, k, elim, labels, ridx, {labels[t][0] for t in tags}
+
+
+def _refused(search, k, elim, labels):
+    """Both replays refuse the layer's certificate."""
+    with pytest.raises(DalgError, match="certificate failed to replay"):
+        search.read(k, elim, labels)
+    return field_replay(search, k, elim, labels) is False
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certificate_refuses_a_wrong_denominator(name):
+    used = _layer(name)[-1]
+    assert used
+    for gi in used:
+        search, k, elim, labels, *_ = _layer(name)
+        search.layers.dens[gi] = search.layers.dens[gi] * 2
+        assert _refused(search, k, elim, labels), gi
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certificate_refuses_an_altered_cleared_term(name):
+    # the layer is built from the altered terms, so its rows and trail
+    # agree with each other; only the check of the clearing against the
+    # generator itself sees the fault
+    for gi in _layer(name)[-1]:
+        build, r, k = CERTIFIED[name]
+        search = AnnihilatorSearch(build(), "z", r)
+        terms = search.layers.terms[gi]
+        m, v = terms[0]
+        terms[0] = (m, v * 2)
+        elim, labels = search.layers.eliminate(k, track=True)
+        assert _refused(search, k, elim, labels), gi
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certificate_refuses_an_altered_trail_numerator(name):
+    search, k, elim, labels, ridx, _ = _layer(name)
+    real = elim.trail_numerators
+    for tag in real(ridx)[0]:
+        def altered(i, tag=tag):
+            nums, den = real(i)
+            return {**nums, tag: nums[tag] * 2}, den
+        elim.trail_numerators = altered
+        assert _refused(search, k, elim, labels), tag
+
+
+def _riccati_systems(label, n):
+    """Systems y1' = R(y1), y2 = S(y1) with target y2, from the oracles'
+    random polynomials over the field of label."""
+    field = field_from_label(label)
+    rng = random.Random(f"riccati:{label}")
+    y1p, y2 = DPoly.var(field, JetVar.y(1, 1)), DPoly.var(field, JetVar.y(2))
+    return [SystemSpec(field=field, target="y2", gens=(
+        y1p - rand_poly(rng, field, [JetVar.y(1)], max_terms=3, max_deg=2),
+        y2 - rand_poly(rng, field, [JetVar.y(1)], max_terms=2, max_deg=2)))
+            for _ in range(n)]
+
+
+def _agreement_cases():
+    """(name, system, target, r, k_max): the presets and random systems
+    over Q, Qi, Q(a;) and Qi(a;x), each with an annihilator by k_max."""
+    cases = [
+        ("prod", _exp_exp_product(), "z", 1, 2),
+        ("sum", _exp_tan_sum(), "z", 2, 4),
+        ("quotient", rational_system(
+            [(_parse("y1' - y1"), 1), (_parse("y2' - y2"), 1)],
+            _parse("y1"), _parse("1 + y2")), "z", 2, 3),
+        ("composition", composition_system(_parse("y1' - y1"),
+                                           _parse("y2' - y2")), "z", 2, 4),
+        ("parameter-sum", _parameter_sum(), "z", 2, 1),
+        ("gaussian-parameter", parse_system(
+            "field: Qi(c;)\ntarget: y2\n"
+            "y1' - c*y1\ni*(y2' - y1')^2 + (y2 - y1)\n"), "y2", 2, 4)]
+    for label in ("Q", "Qi", "Q(a;)", "Qi(a;x)"):
+        for j, system in enumerate(_riccati_systems(label, 2)):
+            cases.append((f"riccati-{label}-{j}", system, "y2", 1, 4))
+    return cases
+
+
+AGREEMENT = _agreement_cases()
+
+
+@pytest.mark.parametrize("name, system, target, r, k_max", AGREEMENT,
+                         ids=[c[0] for c in AGREEMENT])
+def test_ring_replay_agrees_with_field_oracle(name, system, target, r, k_max):
+    search = AnnihilatorSearch(system, target, r)
+    found = 0
+    for k in range(1, k_max + 1):
+        elim, labels = search.layers.eliminate(k, track=True)
+        res = search.read(k, elim, labels)
+        want = True if isinstance(res, Annihilator) else None
+        assert field_replay(search, k, elim, labels) is want, k
+        found += want is True
+    assert found
 
 
 def test_budget_is_enforced():

@@ -320,12 +320,30 @@ ALGEBRAIC = [
 def test_algebraic_series_residual_vanishes(label, text, y0, point):
     field = field_from_label(label)
     Qg = parse_poly(text, field)
-    s = newton_algebraic_series(Qg, y0, 12, point=point)
+    s = newton_algebraic_series(Qg, y0, 20, point=point)
     assert s.coeffs[0] == field.q(y0)
     assert label == "Q" or any(s.coeffs[1:])
     coeffs, N = series_eval(Qg, {(1, 1): (s.coeffs, s.N)}, point)
-    assert N == 12 and all(field.is_zero(c) for c in coeffs)
+    assert N == 20 and all(field.is_zero(c) for c in coeffs)
     assert newton_algebraic_series(Qg, y0, 6, point=point) == s.truncate(6)
+
+
+def test_parameter_cubic_residual_vanishes():
+    # a Q(a;x) cubic whose series at 1/2 has coefficients of growing
+    # degree in a (37 at N = 20); solving for each coefficient from the
+    # whole equation took seconds.  The field oracle checks coefficients
+    # up to 12 (it needs seconds more for all 20), the ring residual all
+    # of them.
+    field = field_from_label("Q(a;x)")
+    Qg = parse_poly(f"y1^3 + a*x*y1^2 - 1 - a*x + {_W}", field)
+    point = Fraction(1, 2)
+    s = newton_algebraic_series(Qg, 1, 20, point=point)
+    assert s.coeffs[0] == field.one and not field.is_rational(s.coeffs[20])
+    assert apply_dpoly(Qg, {"y1": s}).is_zero_to_truncation()
+    head = newton_algebraic_series(Qg, 1, 12, point=point)
+    assert head == s.truncate(12)
+    coeffs, N = series_eval(Qg, {(1, 1): (head.coeffs, 12)}, point)
+    assert N == 12 and all(field.is_zero(c) for c in coeffs)
 
 
 # ---------------------------------------------------------------------------
