@@ -207,7 +207,7 @@ def _layer(name):
     build, r, k = CERTIFIED[name]
     search = AnnihilatorSearch(build(), "z", r)
     elim, labels = search.layers.eliminate(k, track=True)
-    columns, _, start = search.layers.columns(k)
+    _, _, start = search.layers.columns(k)
     ridx = elim.pivot_of_col[max(c for c in elim.pivot_of_col if c >= start)]
     tags = elim.trail_numerators(ridx)[0]
     return search, k, elim, labels, ridx, {labels[t][0] for t in tags}
