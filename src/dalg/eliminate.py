@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .dpoly import DPoly, JetVar, mono_mul
+from .dpoly import DPoly, JetVar, mono_mul, mono_sort_key
 from .errors import DalgError
+from .fields import primitive_divisor
 from .linalg import MacaulayLayers, ring_vars
 from .system import SystemSpec, _family_of_label, prolong
 from . import bounds as _bounds
@@ -118,15 +119,18 @@ class AnnihilatorSearch:
 
         The annihilator is the echelon row at the largest pivot column
         of the target block.  Its certificate is replayed in the ring R
-        of the field: the trail's numerators over their denominator den
-        must give sum num * mu * terms[gi] == den * row, with terms[gi]
-        the cleared terms of generator gi.  Each generator the trail
-        uses is also checked against the generator itself, dens[gi] *
+        of the field, with products of monomial tuples, so it is
+        independent of the packed codes the layer's rows were built
+        from: the trail's numerators over their denominator den must
+        give sum num * mu * terms[gi] == den * row, with terms[gi] the
+        cleared terms of generator gi.  Each generator the trail uses is
+        also checked against the generator itself, dens[gi] *
         h_gens[gi] == terms[gi], once per search, so a clearing fault
-        fails the certificate too.
+        fails the certificate too.  The row is then dehomogenized and
+        normalized in R (_dehomogenized).
         """
         layers, field = self.layers, self.layers.field
-        columns, _, target_start = layers.columns(k)
+        columns, _, target_start, _ = layers.layer(k)
         hits = [c for c in elim.pivot_of_col if c >= target_start]
         if not hits:
             return NotFoundAtK(k=k, rows=len(labels), cols=len(columns))
@@ -155,9 +159,8 @@ class AnnihilatorSearch:
             raise DalgError(
                 "internal error: membership certificate failed to replay")
 
-        row_poly = DPoly(field, {columns[c]: F.convert_from(v, R)
-                                 for c, v in entries.items()}, _raw=True)
-        poly = row_poly.dehomogenize().normalize()
+        poly = _dehomogenized(field, R, F,
+                              ((columns[c], v) for c, v in entries.items()))
         return Annihilator(poly=poly, target=self.target,
                            order=poly.orders().get(self.fam, 0),
                            degree=poly.total_degree(), k_searched=k,
@@ -181,6 +184,29 @@ class AnnihilatorSearch:
                 bool(a) and cleared.keys() == terms.keys()
                 and all(agrees(m, c) for m, c in terms.items()))
         return self._checked[gi]
+
+
+def _dehomogenized(field, R, F, terms):
+    """The polynomial of (monomial, coefficient in R) terms with s = 1,
+    in normal form: DPoly(...).dehomogenize().normalize() of the terms
+    taken into the field, computed in R.
+
+    Coefficients of monomials that become equal are summed in R, the
+    result is made primitive with its lead at the largest monomial, and
+    each coefficient is converted to the field once.
+    """
+    skey = JetVar.s().key
+    merged = {}
+    for m, v in terms:
+        m = tuple(p for p in m if p[0] != skey)
+        merged[m] = merged[m] + v if m in merged else v
+    monos = sorted((m for m, v in merged.items() if v), key=mono_sort_key,
+                   reverse=True)
+    g = primitive_divisor(R, [merged[m] for m in monos], merged[monos[0]])
+    if g != R.one:
+        merged = {m: merged[m] // g for m in monos}
+    return DPoly(field, {m: F.convert_from(merged[m], R) for m in monos},
+                 _raw=True)
 
 
 def find_annihilator(system: SystemSpec, l, r, k, _search=None):

@@ -17,11 +17,11 @@ QQ_I), and sympy is imported when the first such field is built.
 
 Only x has a nonzero derivative (x' = 1); parameters are constants.
 
-This module also owns the ring of each field (ring_of), numerators over
-a common denominator (common_denominator, clear_denominators) and the
-one canonical primitive form over the ring (primitive_divisor), which
-the eliminator's stored rows, DPoly.normalize and the series kernels
-use.
+This module also owns the ring of each field (ring_of), its gcd with
+cofactors (ring_cofactors), numerators over a common denominator
+(common_denominator, clear_denominators) and the one canonical primitive
+form over the ring (primitive_divisor), which the eliminator's stored
+rows, DPoly.normalize and the series kernels use.
 """
 
 from __future__ import annotations
@@ -370,6 +370,11 @@ class _Integers:
     lcm = staticmethod(lcm)
 
     @staticmethod
+    def cofactors(a, b):
+        g = gcd(a, b)
+        return g, a // g, b // g
+
+    @staticmethod
     def canonical_unit(a):
         return -1 if a < 0 else 1
 
@@ -437,6 +442,18 @@ def _same(c):
     return c
 
 
+def ring_cofactors(R):
+    """The map (a, b) -> (g, a // g, b // g), g = gcd(a, b), of the ring R.
+
+    Over a sympy polynomial ring it is the element method, which finds
+    the cofactors with the gcd; the domain's cofactors would divide
+    twice more.  Elsewhere it is R.cofactors.
+    """
+    if getattr(R, "is_PolynomialRing", False):
+        return type(R.one).cofactors
+    return R.cofactors
+
+
 def common_denominator(R, F, values):
     """(numerators, den) over R with values[j] = numerators[j] / den, for
     field elements values; den is their least common denominator."""
@@ -470,4 +487,6 @@ def primitive_divisor(R, values, lead):
         g = gcd(g, v)
         if g == one:
             break
-    return g // R.canonical_unit(lead // g)
+    # a sympy division by one costs several multiplications: skip it
+    unit = R.canonical_unit(lead if g == one else lead // g)
+    return g if unit == one else g // unit

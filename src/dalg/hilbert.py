@@ -9,7 +9,10 @@ injectivity of the multiplication map.
 
 The check runs degree by degree, feeding each layer generator by
 generator, so the running rank at the last row of generator i is the
-rank of the prefix gens[:i].  rank_i(k) <= rank_{i-1}(k) +
+rank of the prefix gens[:i].  Inside a generator's block the rows come
+by descending leading column (MacaulayLayers.rows), which makes less
+fill-in and changes no prefix rank, since a prefix rank depends only
+on the span of the prefix.  rank_i(k) <= rank_{i-1}(k) +
 HF_{i-1}(k - d_i) always holds, and meeting that bound is exactly the
 injectivity condition.  Over plain Q the layer is first reduced mod p,
 and a mod-p rank meeting the bound is exact.  Other prefixes read the

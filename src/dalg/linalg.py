@@ -2,20 +2,24 @@
 
 MacaulayLayers is the one builder of Macaulay layers: it orders the
 columns, makes the rows monomial * generator and checks the work budget
-before any row of a layer is built.  Each generator is cleared of
+before any row of a layer is built.  Inside a layer a monomial is a
+packed integer code (code_shifts, mono_code), one bit field per
+variable, so the column of a product is found from the sum of two codes
+and no row entry builds a monomial tuple.  Each generator is cleared of
 denominators once, into the ring R of its field: ints over plain Q,
 Gaussian integers over Q(i), and polynomials over those in the
 parameters and x otherwise.  The fields module owns that ring (ring_of,
-clear_denominators) and the canonical primitive form over it
-(primitive_divisor); this module only uses them.  ring_vars reads the
-variables of a layer's ring off its generators.
+ring_cofactors, clear_denominators) and the canonical primitive form
+over it (primitive_divisor); this module only uses them.  ring_vars
+reads the variables of a layer's ring off its generators.
 
 Rows live over a fixed ordered column set.  The eliminator keeps rows in
 row-echelon form with the deterministic pivot rule "first nonzero entry
 under the column order".  There is one reduction, fraction-free over R
-for every field: cross-multiplication by the pivots over their gcd, with
-a row made primitive when it is stored.  Entries never leave R, so no
-operation needs a gcd of fractions.
+for every field: cross-multiplication by the pivots over their gcd, the
+gcd and both cofactors from one ring_cofactors call, with a row made
+primitive when it is stored.  Entries never leave R, so no operation
+needs a gcd of fractions.
 
 The order rows are fed in is free.  The set of pivot columns depends
 only on the span of the rows and on the column order, and the echelon
@@ -26,9 +30,14 @@ only its certificate differs.  The order does decide the fill-in.
 MacaulayLayers.eliminate feeds a layer's rows by descending leading
 column, ties in generator order: rows that start late are short, so
 they become pivots first and the rows that start early are reduced by
-sparse pivots.  MacaulayLayers.ranks reads the rank of each prefix of
-the generators from its running ranks, so it alone feeds generator by
-generator.
+sparse pivots.  MacaulayLayers.ranks and the mod-p pre-screen read the
+rank of each prefix of the generators from their running ranks, so
+they feed generator by generator, in the block order of
+MacaulayLayers.rows: inside each generator's block, by descending
+leading column as well.  A prefix rank depends only on the span of the
+prefix, so the order inside a block changes no prefix rank, only the
+fill-in.  The rows are streamed one block at a time, and the whole
+layer is never held.
 
 With tracking on, each stored row keeps a recipe instead of a trail: the
 pivot rows it was reduced by with their multipliers, the tag of the row
@@ -42,10 +51,11 @@ of the field.
 
 modp_rank reduces the same sparse integer rows over F_p with plain
 integer arithmetic and reports the rank after every row, so one pass
-over a layer fed generator by generator gives the rank of each prefix
-of the generators.  A mod-p rank never exceeds the rational rank, so a
-caller holding a matching upper bound can certify exactness; otherwise
-it must fall back to the exact eliminator.
+over a layer fed generator by generator, in any order inside each
+generator's block, gives the rank of each prefix of the generators.  A
+mod-p rank never exceeds the rational rank, so a caller holding a
+matching upper bound can certify exactness; otherwise it must fall back
+to the exact eliminator.
 """
 
 from __future__ import annotations
@@ -57,9 +67,10 @@ from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
 
-from .dpoly import JetVar, mono_mul
+from .dpoly import JetVar
 from .errors import BudgetExceededError, DalgError
-from .fields import clear_denominators, plain_q, primitive_divisor, ring_of
+from .fields import (clear_denominators, plain_q, primitive_divisor,
+                     ring_cofactors, ring_of)
 
 DEFAULT_BUDGET = 2 * 10**7
 
@@ -180,6 +191,7 @@ class SparseEliminator:
         self.ncols = ncols
         self.int_mode = plain_q(field)
         self.ring, self.domain = ring_of(field)
+        self._cofactors = ring_cofactors(self.ring)
         self.track = track
         self.rows = []
         self.trails = []
@@ -197,7 +209,7 @@ class SparseEliminator:
 
     def _add(self, row, tag, steps):
         R = self.ring
-        gcd, one, zero = R.gcd, R.one, R.zero
+        cofactors, one, zero = self._cofactors, R.one, R.zero
         while row:
             c = min(row)
             p = self.pivot_of_col.get(c)
@@ -217,9 +229,7 @@ class SparseEliminator:
                     recipe = (coeffs, tag, scale, g)
                 return self._store(row, c, recipe)
             prow = self.rows[p]
-            a, b = prow[c], row[c]
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
+            _, ma, mb = cofactors(prow[c], row[c])
             new = dict(row) if ma == one else {cc: v * ma for cc, v in row.items()}
             for cc, v in prow.items():
                 w = new.get(cc, zero) - v * mb
@@ -310,6 +320,33 @@ class SparseEliminator:
 # ---------------------------------------------------------------------------
 # Macaulay layers
 
+def code_shifts(varkeys, k):
+    """Bit offset of each variable's field in the packed code of a
+    monomial of degree at most k.
+
+    A monomial's code is the sum of e << shifts[x] over its factors
+    x^e.  Each field is k.bit_length() bits wide, so it holds every
+    exponent up to k; the codes of two monomials whose product has
+    degree at most k therefore add without a carry, and their sum is the
+    code of the product.
+    """
+    w = k.bit_length()
+    return {x: i * w for i, x in enumerate(varkeys)}
+
+
+def mono_code(m, shifts):
+    """Packed code of the monomial m under code_shifts."""
+    code = 0
+    for x, e in m:
+        code += e << shifts[x]
+    return code
+
+
+def _lead_desc(entry):
+    """Sort key: descending leading (smallest) column of entry's row."""
+    return -min(entry[-1], default=0)
+
+
 class MacaulayLayers:
     """Macaulay layers of homogeneous generators over one variable set.
 
@@ -321,6 +358,13 @@ class MacaulayLayers:
     once: terms[gi] is dens[gi] * gens[gi], with terms in R and dens in
     F (see ring_of).  Over plain Q the rows are integer rows, which
     modp_rank reads as well.
+
+    Inside a layer a monomial is its packed code (mono_code under the
+    layer's code_shifts): the columns are indexed by code, and the
+    entry of mu*t in a row sits at index[code(mu) + code(t)], with no
+    product of monomial tuples.  Monomial tuples remain only where
+    callers read them: the columns (columns(), layer()) and the
+    multiplier of each row (rows()).
     """
 
     def __init__(self, field, gens, varkeys, last=None):
@@ -335,7 +379,7 @@ class MacaulayLayers:
             terms, den = clear_denominators(R, F, g.terms.items())
             self.terms.append(terms)
             self.dens.append(den)
-        self._cols = {}
+        self._layer = None
         self._monos = {}
 
     def _monomials(self, e):
@@ -347,19 +391,33 @@ class MacaulayLayers:
             self._monos[e] = degree_monomials(self.varkeys, e)
         return self._monos[e]
 
-    def columns(self, k):
-        """(monomials, column of each monomial, first column of the last
-        block) of the degree-k layer."""
-        if k not in self._cols:
+    def layer(self, k):
+        """(monomials, column of each monomial's code, first column of
+        the last block, code_shifts) of the degree-k layer.
+
+        Only the layer asked for last is kept, with the codes of its
+        multipliers: a search and a regularity check each work through
+        their layers one degree at a time.
+        """
+        if self._layer is None or self._layer[0] != k:
             monos = self._monomials(k)
             tail = [] if self.last is None else [
                 m for m in monos if all(x in self.last for x, _ in m)]
             if tail:
                 in_tail = set(tail)
                 monos = [m for m in monos if m not in in_tail] + tail
-            self._cols[k] = (monos, {m: i for i, m in enumerate(monos)},
-                             len(monos) - len(tail))
-        return self._cols[k]
+            shifts = code_shifts(self.varkeys, k)
+            index = {mono_code(m, shifts): i for i, m in enumerate(monos)}
+            self._layer = (k, (monos, index, len(monos) - len(tail), shifts),
+                           {})
+        return self._layer[1]
+
+    def columns(self, k):
+        """(monomials, column of each monomial, first column of the last
+        block) of the degree-k layer.  The index by monomial is built on
+        each call; the layer itself keeps its columns by code."""
+        monos, _, start, _ = self.layer(k)
+        return monos, {m: i for i, m in enumerate(monos)}, start
 
     def nrows(self, k, upto=None):
         """Row count of the degree-k layer of gens[:upto]."""
@@ -367,28 +425,57 @@ class MacaulayLayers:
         return sum(monomial_count(v, k - d) for d in self.degs[:upto] if d <= k)
 
     def rows(self, k, upto=None):
-        """(gi, mu, row) for each row of the degree-k layer of gens[:upto],
-        generator by generator; the work budget is checked first."""
+        """(gi, mu, row) for each row of the degree-k layer of gens[:upto].
+
+        Rows come generator by generator, and inside a generator's block
+        by descending leading column, ties in multiplier order.  The
+        blocks are built one at a time as the rows are read, so a
+        caller that streams them never holds the whole layer.  The work
+        budget is checked first.
+        """
         check_budget(self.nrows(k, upto), monomial_count(len(self.varkeys), k))
-        _, index, _ = self.columns(k)
-        return ((gi, mu, {index[mono_mul(mu, m)]: c for m, c in self.terms[gi]})
-                for gi, d in enumerate(self.degs[:upto]) if d <= k
-                for mu in self._monomials(k - d))
+        return self._blocks(k, upto)
+
+    def _blocks(self, k, upto):
+        monos, index, start, shifts = self.layer(k)
+        mu_codes = self._layer[2]   # codes of the multipliers, by degree
+        for gi, d in enumerate(self.degs[:upto]):
+            if d > k:
+                continue
+            # coded from terms on every call, so rows always follow terms
+            terms = [(mono_code(m, shifts), c) for m, c in self.terms[gi]]
+            mus = self._monomials(k - d)
+            if k - d not in mu_codes:
+                mu_codes[k - d] = [mono_code(m, shifts) for m in mus]
+            codes = mu_codes[k - d]
+            if start == len(monos):
+                # without a last block the columns follow a monomial order,
+                # so the lead of mu*g is mu times the lead of g, and the
+                # leading columns descend as the multipliers ascend: the
+                # block needs no sort and is built row by row
+                for mu, mc in zip(reversed(mus), reversed(codes)):
+                    yield gi, mu, {index[mc + tc]: c for tc, c in terms}
+                continue
+            block = [(mu, {index[mc + tc]: c for tc, c in terms})
+                     for mu, mc in zip(mus, codes)]
+            block.sort(key=_lead_desc)
+            for mu, row in block:
+                yield gi, mu, row
 
     def eliminate(self, k, upto=None, track=False):
         """Row-reduce the degree-k layer of gens[:upto].
 
         Rows are fed by descending leading column (their smallest column
-        index), ties in generator order.  The order is free, since the
-        pivot columns depend only on the row span and the column order
-        (see the module docstring), and this one makes little fill-in:
-        rows that start late are short, and the pivots they make are
-        what the rows fed after them are reduced by.  Returns the
-        eliminator and the (gi, mu) of each row in feed order; a row's
-        tag is its position in that list.
+        index), ties in generator order and then in multiplier order.
+        The order is free, since the pivot columns depend only on the
+        row span and the column order (see the module docstring), and
+        this one makes little fill-in: rows that start late are short,
+        and the pivots they make are what the rows fed after them are
+        reduced by.  Returns the eliminator and the (gi, mu) of each row
+        in feed order; a row's tag is its position in that list.
         """
-        rows = sorted(self.rows(k, upto), key=lambda r: -min(r[2], default=0))
-        elim = SparseEliminator(len(self.columns(k)[0]), self.field, track)
+        rows = sorted(self.rows(k, upto), key=_lead_desc)
+        elim = SparseEliminator(len(self.layer(k)[0]), self.field, track)
         labels = []
         for gi, mu, row in rows:
             elim.add_row(row, len(labels))
@@ -398,10 +485,11 @@ class MacaulayLayers:
     def ranks(self, k):
         """Exact running ranks of the degree-k layer, as modp_rank gives
         them: entry j is the rank of its first j + 1 rows.  Rows are fed
-        in generator order, unlike eliminate, so the entry at each
-        generator's last row is the rank of that prefix."""
+        as rows() gives them, generator by generator and one block at a
+        time, unlike eliminate, so the entry at each generator's last row
+        is the rank of that prefix."""
         rows = self.rows(k)
-        elim = SparseEliminator(len(self.columns(k)[0]), self.field)
+        elim = SparseEliminator(len(self.layer(k)[0]), self.field)
         out = array("l")
         for _, _, row in rows:
             elim.add_row(row)
@@ -420,10 +508,11 @@ def modp_rank(rows, ncols):
     Each stored pivot row is scaled to a leading 1 and every row fed in is
     reduced by them, sparse, under the same column order as the exact
     eliminator.  Rows fed later never change an earlier entry, so for a
-    layer fed generator by generator the entry at each generator's last
-    row is the rank of that prefix alone.  No entry exceeds the rank over
-    Q of the same rows.  The rows carry their own columns, so ncols only
-    names the layer's width.
+    layer fed generator by generator (as MacaulayLayers.rows gives it,
+    each generator's block by descending leading column) the entry at
+    each generator's last row is the rank of that prefix alone.  No
+    entry exceeds the rank over Q of the same rows.  The rows carry
+    their own columns, so ncols only names the layer's width.
     """
     pivots = {}
     ranks = array("l")

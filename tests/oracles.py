@@ -13,6 +13,8 @@ from math import factorial
 import sympy
 
 from dalg import DPoly, JetVar
+from dalg.dpoly import mono_mul
+from dalg.linalg import degree_monomials
 
 
 def dense_rank(rows, ncols, zero=Fraction(0)):
@@ -39,6 +41,20 @@ def dense_rank(rows, ncols, zero=Fraction(0)):
         rank += 1
         col += 1
     return rank
+
+
+def layer_rows(layers, k, upto=None):
+    """(gi, mu, row) for each row of the degree-k layer of a
+    linalg.MacaulayLayers over gens[:upto], in generator order and then
+    multiplier order, built from monomial tuples: the entry of mu times
+    a cleared term t of generator gi sits at the column of
+    mono_mul(mu, t), found in the layer's columns by monomial.
+    """
+    _, col_pos, _ = layers.columns(k)
+    return [(gi, mu, {col_pos[mono_mul(mu, m)]: c
+                      for m, c in layers.terms[gi]})
+            for gi, d in enumerate(layers.degs[:upto]) if d <= k
+            for mu in degree_monomials(layers.varkeys, k - d)]
 
 
 def sympy_resultant(p_coeffs, q_coeffs):

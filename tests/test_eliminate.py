@@ -13,11 +13,12 @@ from dalg.eliminate import (Annihilator, AnnihilatorSearch, NotFoundAtK,
                             eliminate_search, find_annihilator,
                             rational_system, sum_product_system)
 from dalg.errors import BudgetExceededError, DalgError
-from dalg.linalg import SparseEliminator, budget_limit
+from dalg.fields import ring_of
+from dalg.linalg import MacaulayLayers, SparseEliminator, budget_limit
 from dalg.series import series_arith, verify_annihilator, witness
 from dalg.system import SystemSpec
 
-from oracles import field_replay, rand_poly
+from oracles import field_replay, layer_rows, rand_poly
 
 F = get_field("Q")
 
@@ -170,12 +171,13 @@ def test_search_prolongs_once_per_search(prolong_calls):
 def test_descending_feed_stores_fewer_nonzeros():
     # the exp+tan sum layer at k = 4, the largest of the search: fed by
     # descending leading column it stores fewer nonzeros than fed in
-    # generator order, with the same pivots and annihilator
+    # generator and multiplier order, with the same pivots and annihilator
     search = AnnihilatorSearch(_exp_tan_sum(), "z", 2)
     layers = search.layers
     fed, labels = layers.eliminate(4, track=True)
     plain = SparseEliminator(len(layers.columns(4)[0]), layers.field, True)
-    for _, _, row in layers.rows(4):
+    in_order = layer_rows(layers, 4)
+    for _, _, row in in_order:
         plain.add_row(row)
     assert set(fed.pivot_of_col) == set(plain.pivot_of_col)
     assert len(labels) == 2418 and fed.rank == 1299
@@ -184,9 +186,9 @@ def test_descending_feed_stores_fewer_nonzeros():
     assert nnz_fed < nnz_plain
     assert (nnz_fed, nnz_plain) == (3260, 4265)
     # labels follow the feed: leading columns descend, ties in
-    # generator order
+    # generator order and then multiplier order
     position = {(gi, mu): (-min(row), j)
-                for j, (gi, mu, row) in enumerate(layers.rows(4))}
+                for j, (gi, mu, row) in enumerate(in_order)}
     keys = [position[label] for label in labels]
     assert keys == sorted(keys)
     assert search.read(4, fed, labels).k_searched == 4
@@ -305,6 +307,67 @@ def test_ring_replay_agrees_with_field_oracle(name, system, target, r, k_max):
         assert field_replay(search, k, elim, labels) is want, k
         found += want is True
     assert found
+
+
+@pytest.mark.parametrize("name, system, target, r, k_max", AGREEMENT,
+                         ids=[c[0] for c in AGREEMENT])
+def test_layer_rows_match_tuple_oracle(name, system, target, r, k_max):
+    # rows built from packed codes equal the oracle's rows built from
+    # monomial tuples, in the search's layers (target block last) and in
+    # layers of the same generators without a last block; they come
+    # generator by generator, and in a block by descending leading
+    # column, ties in multiplier order
+    search = AnnihilatorSearch(system, target, r)
+    plain = MacaulayLayers(system.field, search.h_gens,
+                           search.layers.varkeys)
+    for layers in (search.layers, plain):
+        for k in range(1, k_max + 1):
+            want = layer_rows(layers, k)
+            got = list(layers.rows(k))
+            assert ({(gi, mu): row for gi, mu, row in got}
+                    == {(gi, mu): row for gi, mu, row in want})
+            assert len(got) == len(want) == layers.nrows(k)
+            position = {(gi, mu): j for j, (gi, mu, _) in enumerate(want)}
+            keys = [(gi, -min(row), position[gi, mu]) for gi, mu, row in got]
+            assert keys == sorted(keys), k
+
+
+@pytest.mark.parametrize("name, system, target, r, k_max", AGREEMENT,
+                         ids=[c[0] for c in AGREEMENT])
+def test_annihilator_is_the_normalized_field_row(name, system, target, r,
+                                                 k_max):
+    # read() dehomogenizes and normalizes the stored row in the ring; the
+    # result is, term for term and in the same order, the row taken into
+    # the field, dehomogenized and normalized there
+    search = AnnihilatorSearch(system, target, r)
+    field = system.field
+    for k in range(1, k_max + 1):
+        elim, labels = search.layers.eliminate(k, track=True)
+        res = search.read(k, elim, labels)
+        if not isinstance(res, Annihilator):
+            continue
+        columns, _, start = search.layers.columns(k)
+        ridx = elim.pivot_of_col[max(c for c in elim.pivot_of_col
+                                     if c >= start)]
+        R, F = elim.ring, elim.domain
+        row_poly = DPoly(field, {columns[c]: F.convert_from(v, R)
+                                 for c, v in elim.rows[ridx].items()})
+        want = row_poly.dehomogenize().normalize()
+        assert ([(m, repr(c)) for m, c in res.poly.terms.items()]
+                == [(m, repr(c)) for m, c in want.terms.items()])
+        assert str(res.poly) == str(want)
+    # terms that merge and cancel when s = 1, which a homogeneous row
+    # never has: s*y1 + 2*y1 merges, s^2*y2' - y2' cancels
+    R, F = ring_of(field)
+    s, y1, y2p = JetVar.s().key, JetVar.y(1).key, JetVar.y(2, 1).key
+    terms = [(((s, 1), (y1, 1)), R.one * 3), (((y1, 1),), R.one * 6),
+             (((s, 2), (y2p, 1)), R.one * 2), (((y2p, 1),), -R.one * 2),
+             (((s, 1),), -R.one * 4)]
+    want = DPoly(field, {m: F.convert_from(v, R) for m, v in terms})
+    want = want.dehomogenize().normalize()
+    got = eliminate_mod._dehomogenized(field, R, F, terms)
+    assert ([(m, repr(c)) for m, c in got.terms.items()]
+            == [(m, repr(c)) for m, c in want.terms.items()])
 
 
 def test_budget_is_enforced():

@@ -12,11 +12,11 @@ from dalg.dpoly import mono_mul
 from dalg.errors import DalgError
 from dalg.hilbert import (check_dregular, check_regular_sequence, hf,
                           hs_regular_closed_form)
-from dalg.linalg import (MacaulayLayers, degree_monomials, modp_rank,
-                         monomial_count, ring_vars)
+from dalg.linalg import (MacaulayLayers, SparseEliminator, degree_monomials,
+                         modp_rank, monomial_count, ring_vars)
 from dalg.system import prolong
 
-from oracles import DEFAULT_JETS, dense_rank, rand_poly
+from oracles import DEFAULT_JETS, dense_rank, layer_rows, rand_poly
 
 F = get_field("Q")
 Y1, Y2, Y3 = JetVar.y(1), JetVar.y(2), JetVar.y(3)
@@ -142,6 +142,62 @@ def test_exact_running_ranks_give_every_prefix_rank(label):
                 rank = layers.eliminate(k, i)[0].rank
                 assert (running[nr - 1] if nr else 0) == rank
                 assert rep.hf_values[i][k] == monomial_count(v, k) - rank
+
+
+def _sum_system_layers():
+    spec = parse_system("field: Q\ntarget: z\ny1' - y1\ny2' - 1 - y2^2\n"
+                        "z - y1 - y2\n")
+    gens = [g.homogenize() for g in prolong(spec, 1)]
+    return MacaulayLayers(F, gens, ring_vars(gens))
+
+
+@pytest.mark.parametrize("label", ["Q", "Qi", "Q(a;)"])
+def test_block_order_keeps_every_prefix_rank(label):
+    # rows() feeds each generator's block by descending leading column;
+    # at each generator's last row its running ranks equal those of the
+    # rows in generator and multiplier order: mod p over Q, and exact
+    # (MacaulayLayers.ranks) over every field
+    field = field_from_label(label)
+    cases = [MacaulayLayers(field, gens, varkeys) for gens, varkeys
+             in _random_homogeneous_systems(53, 6, field)]
+    if label == "Q":
+        cases.append(_sum_system_layers())
+    for layers in cases:
+        for k in range(5):
+            ncols = monomial_count(len(layers.varkeys), k)
+            old = [row for _, _, row in layer_rows(layers, k)]
+            elim = SparseEliminator(ncols, field)
+            old_exact = []
+            for row in old:
+                elim.add_row(row)
+                old_exact.append(elim.rank)
+            exact = layers.ranks(k)
+            if label == "Q":
+                old_modp = modp_rank(old, ncols)
+                block = modp_rank((row for _, _, row in layers.rows(k)),
+                                  ncols)
+            for i in range(1, len(layers.degs) + 1):
+                nr = layers.nrows(k, i)
+                if not nr:
+                    continue
+                assert exact[nr - 1] == old_exact[nr - 1], (k, i)
+                if label == "Q":
+                    assert block[nr - 1] == old_modp[nr - 1], (k, i)
+
+
+def test_nonregular_pair_fails_first_at_generator_2_degree_3():
+    # the benchmark's nonregular pair: the block-ordered pre-screen and
+    # the exact ranks it falls back to keep the first failure at (2, 3),
+    # with HF equal to the regular closed form below degree 3 and above
+    # it at degree 3
+    spec = parse_system("field: Q\ntarget: y2\ny1*y2' - 2*y1*y2\n"
+                        "y1*y1' - 3*y1\n")
+    rep = check_dregular(spec, 0, cutoff=5)
+    assert not rep.regular
+    assert rep.regseq.failure() == (2, 3)
+    hfs = [rep.profile.values[k] for k in range(6)]
+    closed = [rep.profile.closed_form[k] for k in range(6)]
+    assert hfs[:3] == closed[:3] and hfs[3] > closed[3]
 
 
 def test_regular_sequence_matches_exact_prefix_ranks():

@@ -13,10 +13,13 @@ import pytest
 from dalg import JetVar, field_from_label, get_field, parse_poly, parse_system
 from dalg.eliminate import find_annihilator
 from dalg.errors import BudgetExceededError, DalgError
-from dalg.fields import clear_denominators, ring_of
+from dalg.dpoly import mono_mul
+from dalg.fields import (clear_denominators, primitive_divisor,
+                         ring_cofactors, ring_of)
 from dalg.hilbert import check_dregular, hf
 from dalg.linalg import (MOD_P, SparseEliminator, budget_limit, check_budget,
-                         degree_monomials, modp_rank, monomial_count)
+                         code_shifts, degree_monomials, modp_rank,
+                         mono_code, monomial_count)
 
 from oracles import dense_rank, rand_coeff
 
@@ -244,3 +247,64 @@ def test_degree_monomials_are_sorted_exponent_tuples(v):
         gc.collect()
         assert degree_monomials(keys, k) == want
         assert gc.collect() == 0
+
+
+def test_code_of_a_product_is_the_sum_of_codes():
+    # random monomials m1, m2 with deg(m1 * m2) <= k, coded under the
+    # field widths of layer k: no exponent overflows its field, so codes
+    # add like the monomials multiply, and distinct monomials of degree
+    # k have distinct codes
+    rng = random.Random(26)
+    keys = sorted((1, i, j) for i in (1, 2) for j in range(7))
+
+    def monomial(vars_, d):
+        exps = {}
+        for _ in range(d):
+            x = rng.choice(vars_)
+            exps[x] = exps.get(x, 0) + 1
+        return tuple(sorted(exps.items()))
+
+    for v in (1, 2, 5, 9, 14):
+        for k in (0, 1, 2, 3, 4, 7, 8, 9, 16, 33):
+            shifts = code_shifts(keys[:v], k)
+            if monomial_count(v, k) <= 5000:
+                monos = degree_monomials(keys[:v], k)
+                assert len({mono_code(m, shifts) for m in monos}) == len(monos)
+            for _ in range(40):
+                d1 = rng.randint(0, k)
+                m1 = monomial(keys[:v], d1)
+                m2 = monomial(keys[:v], rng.randint(0, k - d1))
+                assert (mono_code(m1, shifts) + mono_code(m2, shifts)
+                        == mono_code(mono_mul(m1, m2), shifts))
+
+
+@pytest.mark.parametrize("label", ["Q", "Qi", "Qi(c;)", "Q(a;x)"],
+                         ids=["Z", "Z[i]", "Z[i][c]", "Z[x,a]"])
+def test_cofactors_and_primitive_divisor_over_each_ring(label):
+    # random ring elements a = h*a0, b = h*b0 with a common factor h:
+    # ring_cofactors gives g, a // g, b // g with g the ring's gcd, and
+    # primitive_divisor, which skips its divisions by one, equals
+    # g // canonical_unit(lead // g)
+    field = field_from_label(label)
+    R, F = ring_of(field)
+    rng = random.Random(f"cofactors:{label}")
+
+    def element():
+        nums, _ = clear_denominators(
+            R, F, [((), rand_coeff(rng, field) or field.one)])
+        return nums[0][1]
+
+    cofactors = ring_cofactors(R)
+    for _ in range(30):
+        h, a0, b0 = element(), element(), element()
+        a, b = h * a0, h * b0
+        g, ma, mb = cofactors(a, b)
+        assert g * ma == a and g * mb == b
+        assert g == R.gcd(a, b)
+        values = [a, b, h * element()]
+        lead = rng.choice(values)
+        want = R.zero
+        for v in values:
+            want = R.gcd(want, v)
+        want = want // R.canonical_unit(lead // want)
+        assert primitive_divisor(R, values, lead) == want
