@@ -475,9 +475,12 @@ class MacaulayLayers:
         in feed order; a row's tag is its position in that list.
         """
         rows = sorted(self.rows(k, upto), key=_lead_desc)
+        # popped from the end, so each row is released once it is fed
+        rows.reverse()
         elim = SparseEliminator(len(self.layer(k)[0]), self.field, track)
         labels = []
-        for gi, mu, row in rows:
+        while rows:
+            gi, mu, row = rows.pop()
             elim.add_row(row, len(labels))
             labels.append((gi, mu))
         return elim, labels
