@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from .dpoly import DPoly, JetVar, mono_mul, mono_sort_key
 from .errors import DalgError
 from .fields import primitive_divisor
-from .linalg import MacaulayLayers, ring_vars
+from .linalg import MacaulayLayers, mono_decode, ring_vars
 from .system import SystemSpec, _family_of_label, prolong
 from . import bounds as _bounds
 
@@ -118,11 +118,12 @@ class AnnihilatorSearch:
         row tags index labels, or NotFoundAtK.
 
         The annihilator is the echelon row at the largest pivot column
-        of the target block.  Its certificate is replayed in the ring R
-        of the field, with products of monomial tuples, so it is
-        independent of the packed codes the layer's rows were built
-        from: the trail's numerators over their denominator den must
-        give sum num * mu * terms[gi] == den * row, with terms[gi] the
+        of the target block; only that row's columns are decoded from
+        their packed codes into monomial tuples.  Its certificate is
+        replayed in the ring R of the field, with products of monomial
+        tuples, so a fault in the codes or their decoding fails it: the
+        trail's numerators over their denominator den must give
+        sum num * mu * terms[gi] == den * row, with terms[gi] the
         cleared terms of generator gi.  Each generator the trail uses is
         also checked against the generator itself, dens[gi] *
         h_gens[gi] == terms[gi], once per search, so a clearing fault
@@ -130,16 +131,17 @@ class AnnihilatorSearch:
         normalized in R (_dehomogenized).
         """
         layers, field = self.layers, self.layers.field
-        columns, _, target_start, _ = layers.layer(k)
+        codes, _, target_start, shifts = layers.layer(k)
         hits = [c for c in elim.pivot_of_col if c >= target_start]
         if not hits:
-            return NotFoundAtK(k=k, rows=len(labels), cols=len(columns))
+            return NotFoundAtK(k=k, rows=len(labels), cols=len(codes))
         ridx = elim.pivot_of_col[max(hits)]
 
         entries = elim.rows[ridx]
         if any(c < target_start for c in entries):
             raise DalgError(
                 "internal error: reduced row leaks non-target columns")
+        monos = {c: mono_decode(codes[c], shifts) for c in entries}
         R, F = elim.ring, elim.domain
         nums, den = elim.trail_numerators(ridx)
         combo = {}
@@ -152,7 +154,7 @@ class AnnihilatorSearch:
                     combo[m] = v
                 else:
                     combo.pop(m, None)
-        certified = (combo == {columns[c]: den * v for c, v in entries.items()}
+        certified = (combo == {monos[c]: den * v for c, v in entries.items()}
                      and all(self._cleared(gi, R, F)
                              for gi in {labels[tag][0] for tag in nums}))
         if not certified:
@@ -160,7 +162,7 @@ class AnnihilatorSearch:
                 "internal error: membership certificate failed to replay")
 
         poly = _dehomogenized(field, R, F,
-                              ((columns[c], v) for c, v in entries.items()))
+                              ((monos[c], v) for c, v in entries.items()))
         return Annihilator(poly=poly, target=self.target,
                            order=poly.orders().get(self.fam, 0),
                            degree=poly.total_degree(), k_searched=k,

@@ -117,6 +117,7 @@ class Field:
                 self._gens = dict(zip(names, self.domain.gens))
         self.zero = self.domain.zero
         self.one = self.domain.one
+        self._ring = None   # (R, F) of ring_of, built on first use
 
     def __repr__(self):
         return f"Field({self.desc.label})"
@@ -417,13 +418,18 @@ def ring_of(field):
     domain and R is ZZ_I for Q(i), and with parameters or x the
     polynomial ring in those names over ZZ or ZZ_I.  (F.get_ring() would
     have a field as its ground, whose gcd and lcm of constants are 1.)
+    The pair is built once per Field, on the first call: each new sympy
+    ring domain costs time and leaves objects in reference cycles.
     """
     if plain_q(field):
         return INTEGERS, RATIONALS
-    F = field.domain
-    if F.is_FractionField:
-        return F.domain.get_ring().poly_ring(*F.symbols), F
-    return F.get_ring(), F
+    if field._ring is None:
+        F = field.domain
+        if F.is_FractionField:
+            field._ring = F.domain.get_ring().poly_ring(*F.symbols), F
+        else:
+            field._ring = F.get_ring(), F
+    return field._ring
 
 
 def sympy_domain(field):

@@ -4,14 +4,15 @@ MacaulayLayers is the one builder of Macaulay layers: it orders the
 columns, makes the rows monomial * generator and checks the work budget
 before any row of a layer is built.  Inside a layer a monomial is a
 packed integer code (code_shifts, mono_code), one bit field per
-variable, so the column of a product is found from the sum of two codes
-and no row entry builds a monomial tuple.  Each generator is cleared of
-denominators once, into the ring R of its field: ints over plain Q,
-Gaussian integers over Q(i), and polynomials over those in the
-parameters and x otherwise.  The fields module owns that ring (ring_of,
-ring_cofactors, clear_denominators) and the canonical primitive form
-over it (primitive_divisor); this module only uses them.  ring_vars
-reads the variables of a layer's ring off its generators.
+variable: columns and multipliers are enumerated as sorted codes, the
+column of a product is found from the sum of two codes, and monomial
+tuples are decoded (mono_decode) only where callers read them.  Each
+generator is cleared of denominators once, into the ring R of its field:
+ints over plain Q, Gaussian integers over Q(i), and polynomials over
+those in the parameters and x otherwise.  The fields module owns that
+ring (ring_of, ring_cofactors, clear_denominators) and the canonical
+primitive form over it (primitive_divisor); this module only uses them.
+ring_vars reads the variables of a layer's ring off its generators.
 
 Rows live over a fixed ordered column set.  The eliminator keeps rows in
 row-echelon form with the deterministic pivot rule "first nonzero entry
@@ -64,8 +65,8 @@ import os
 from array import array
 from contextlib import contextmanager
 from heapq import heappop, heappush
-from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from .dpoly import JetVar
 from .errors import BudgetExceededError, DalgError
@@ -119,39 +120,6 @@ def check_budget(rows, cols):
 
 # ---------------------------------------------------------------------------
 # monomial layers
-
-def degree_monomials(varkeys, k):
-    """Monomials of total degree k, in descending grevlex order.
-
-    varkeys must be sorted ascending; for dense exponent tuples over an
-    ascending variable list, ascending tuple order is descending grevlex,
-    so the exponent tuples are emitted in plain sorted order.  They come
-    from stars and bars: bars at positions b_0 < ... < b_(v-2) among
-    k + v - 1 slots give the exponents b_0, b_1 - b_0 - 1, ..., and
-    combinations() yields the bars, and so the tuples, in ascending order.
-    A plain loop, not a recursive closure: a closure that refers to
-    itself is a reference cycle, which would keep each call's lists
-    until the next garbage collection.
-    """
-    v = len(varkeys)
-    if v == 0:
-        return [()] if k == 0 else []
-    # one (variable, exponent) pair object serves every monomial using it
-    pairs = [[(x, e) for e in range(k + 1)] for x in varkeys]
-    last, end = pairs[-1], k + v - 2
-    out = []
-    for bars in combinations(range(k + v - 1), v - 1):
-        mono = []
-        prev = -1
-        for p, b in zip(pairs, bars):
-            if b - prev - 1:
-                mono.append(p[b - prev - 1])
-            prev = b
-        if end - prev:
-            mono.append(last[end - prev])
-        out.append(tuple(mono))
-    return out
-
 
 def monomial_count(v, k):
     return comb(v - 1 + k, v - 1)
@@ -230,14 +198,14 @@ class SparseEliminator:
                 return self._store(row, c, recipe)
             prow = self.rows[p]
             _, ma, mb = cofactors(prow[c], row[c])
-            new = dict(row) if ma == one else {cc: v * ma for cc, v in row.items()}
+            if ma != one:
+                row = {cc: v * ma for cc, v in row.items()}
             for cc, v in prow.items():
-                w = new.get(cc, zero) - v * mb
+                w = row.get(cc, zero) - v * mb
                 if w:
-                    new[cc] = w
+                    row[cc] = w
                 else:
-                    new.pop(cc, None)
-            row = new
+                    del row[cc]
             if steps is not None:
                 steps.append((p, ma, mb))
         return None
@@ -245,8 +213,10 @@ class SparseEliminator:
     def add_row(self, row, tag=None):
         """Reduce a row and store it if independent; returns its pivot column.
 
-        Entries are elements of the ring (ints over plain Q).  When
-        tracking, the reduction steps are kept as the row's recipe.
+        Entries are elements of the ring (ints over plain Q).  The row
+        is copied once and the copy reduced in place, so the caller's
+        row never changes.  When tracking, the reduction steps are kept
+        as the row's recipe.
         """
         if not row:
             return None
@@ -328,10 +298,13 @@ def code_shifts(varkeys, k):
     x^e.  Each field is k.bit_length() bits wide, so it holds every
     exponent up to k; the codes of two monomials whose product has
     degree at most k therefore add without a carry, and their sum is the
-    code of the product.
+    code of the product.  The first variable has the highest field, so
+    ascending codes are ascending dense exponent tuples over the
+    ascending variables, which is descending grevlex order.
     """
     w = k.bit_length()
-    return {x: i * w for i, x in enumerate(varkeys)}
+    top = len(varkeys) - 1
+    return {x: (top - i) * w for i, x in enumerate(varkeys)}
 
 
 def mono_code(m, shifts):
@@ -342,9 +315,23 @@ def mono_code(m, shifts):
     return code
 
 
-def _lead_desc(entry):
-    """Sort key: descending leading (smallest) column of entry's row."""
-    return -min(entry[-1], default=0)
+def mono_decode(code, shifts):
+    """The monomial tuple of a packed code under code_shifts: each
+    exponent is read from the highest field down, with no mask, so an
+    exponent that overflowed its field decodes to a wrong monomial."""
+    mono = []
+    for x, s in shifts.items():
+        e = code >> s
+        if e:
+            mono.append((x, e))
+            code -= e << s
+    return tuple(mono)
+
+
+def _coded_rows(index, terms, codes):
+    """The row mu*g of each multiplier code, g given by its coded terms."""
+    for mc in codes:
+        yield {index[mc + tc]: c for tc, c in terms}
 
 
 class MacaulayLayers:
@@ -359,12 +346,11 @@ class MacaulayLayers:
     F (see ring_of).  Over plain Q the rows are integer rows, which
     modp_rank reads as well.
 
-    Inside a layer a monomial is its packed code (mono_code under the
-    layer's code_shifts): the columns are indexed by code, and the
-    entry of mu*t in a row sits at index[code(mu) + code(t)], with no
-    product of monomial tuples.  Monomial tuples remain only where
-    callers read them: the columns (columns(), layer()) and the
-    multiplier of each row (rows()).
+    Inside a layer a monomial is its code under the layer's code_shifts:
+    columns and multipliers are sorted codes, the last block is the
+    codes one bit mask zeroes, and mu*t sits at index[code(mu) + code(t)].
+    Monomial tuples remain only where callers read them: columns(), the
+    mu of each row, and the row an annihilator is read from.
     """
 
     def __init__(self, field, gens, varkeys, last=None):
@@ -379,44 +365,48 @@ class MacaulayLayers:
             terms, den = clear_denominators(R, F, g.terms.items())
             self.terms.append(terms)
             self.dens.append(den)
-        self._layer = None
-        self._monos = {}
+        self._layer = self._width = self._codes = None
+        self._mus, self._pairs = {}, {}   # multiplier tuples by degree
 
-    def _monomials(self, e):
-        """Monomials of degree e in descending grevlex order, enumerated
-        once per degree: the multipliers of a generator of degree k - e
-        in layer k, and the columns of layer e before the last block
-        moves to the end."""
-        if e not in self._monos:
-            self._monos[e] = degree_monomials(self.varkeys, e)
-        return self._monos[e]
+    def _degree_codes(self, e, w):
+        """Ascending codes of the degree-e monomials under fields w bits
+        wide, each degree built from the one below: every code plus each
+        variable's unit code, deduplicated and sorted.  Kept until the
+        width changes: a search reuses them across its degrees."""
+        if w != self._width:
+            self._width, self._codes = w, {0: [0]}
+        codes = self._codes.get(e)
+        if codes is None:
+            units = [1 << i * w for i in range(len(self.varkeys))]
+            codes = sorted({c + u for c in self._degree_codes(e - 1, w)
+                            for u in units})
+            self._codes[e] = codes
+        return codes
 
     def layer(self, k):
-        """(monomials, column of each monomial's code, first column of
-        the last block, code_shifts) of the degree-k layer.
-
-        Only the layer asked for last is kept, with the codes of its
-        multipliers: a search and a regularity check each work through
-        their layers one degree at a time.
-        """
+        """(column codes, column of each code, first column of the last
+        block, code_shifts) of the degree-k layer.  Only the layer asked
+        for last is kept: callers work through their layers in turn."""
         if self._layer is None or self._layer[0] != k:
-            monos = self._monomials(k)
-            tail = [] if self.last is None else [
-                m for m in monos if all(x in self.last for x, _ in m)]
-            if tail:
-                in_tail = set(tail)
-                monos = [m for m in monos if m not in in_tail] + tail
+            w = k.bit_length()
             shifts = code_shifts(self.varkeys, k)
-            index = {mono_code(m, shifts): i for i, m in enumerate(monos)}
-            self._layer = (k, (monos, index, len(monos) - len(tail), shifts),
-                           {})
+            codes = self._degree_codes(k, w)
+            start = len(codes)
+            if self.last is not None:
+                mask = sum(((1 << w) - 1) << s for x, s in shifts.items()
+                           if x not in self.last)
+                head = [c for c in codes if c & mask]
+                start = len(head)
+                codes = head + [c for c in codes if not c & mask]
+            index = dict(zip(codes, range(len(codes))))
+            self._layer = (k, (codes, index, start, shifts))
         return self._layer[1]
 
     def columns(self, k):
         """(monomials, column of each monomial, first column of the last
-        block) of the degree-k layer.  The index by monomial is built on
-        each call; the layer itself keeps its columns by code."""
-        monos, _, start, _ = self.layer(k)
+        block) of the degree-k layer, decoded from the codes per call."""
+        codes, _, start, shifts = self.layer(k)
+        monos = [mono_decode(c, shifts) for c in codes]
         return monos, {m: i for i, m in enumerate(monos)}, start
 
     def nrows(self, k, upto=None):
@@ -424,65 +414,75 @@ class MacaulayLayers:
         v = len(self.varkeys)
         return sum(monomial_count(v, k - d) for d in self.degs[:upto] if d <= k)
 
-    def rows(self, k, upto=None):
-        """(gi, mu, row) for each row of the degree-k layer of gens[:upto].
-
-        Rows come generator by generator, and inside a generator's block
-        by descending leading column, ties in multiplier order.  The
-        blocks are built one at a time as the rows are read, so a
-        caller that streams them never holds the whole layer.  The work
-        budget is checked first.
-        """
-        check_budget(self.nrows(k, upto), monomial_count(len(self.varkeys), k))
-        return self._blocks(k, upto)
-
-    def _blocks(self, k, upto):
-        monos, index, start, shifts = self.layer(k)
-        mu_codes = self._layer[2]   # codes of the multipliers, by degree
+    def _generator_blocks(self, k, upto, reverse=False):
+        """(gi, multipliers, rows) for each generator of gens[:upto] in
+        the degree-k layer, rows built as they are read, by ascending
+        multiplier or, with reverse, descending."""
+        _, index, _, shifts = self.layer(k)
         for gi, d in enumerate(self.degs[:upto]):
             if d > k:
                 continue
             # coded from terms on every call, so rows always follow terms
             terms = [(mono_code(m, shifts), c) for m, c in self.terms[gi]]
-            mus = self._monomials(k - d)
-            if k - d not in mu_codes:
-                mu_codes[k - d] = [mono_code(m, shifts) for m in mus]
-            codes = mu_codes[k - d]
-            if start == len(monos):
-                # without a last block the columns follow a monomial order,
-                # so the lead of mu*g is mu times the lead of g, and the
-                # leading columns descend as the multipliers ascend: the
-                # block needs no sort and is built row by row
-                for mu, mc in zip(reversed(mus), reversed(codes)):
-                    yield gi, mu, {index[mc + tc]: c for tc, c in terms}
-                continue
-            block = [(mu, {index[mc + tc]: c for tc, c in terms})
-                     for mu, mc in zip(mus, codes)]
-            block.sort(key=_lead_desc)
-            for mu, row in block:
+            codes = self._degree_codes(k - d, k.bit_length())
+            if k - d not in self._mus:
+                pair = self._pairs.setdefault
+                self._mus[k - d] = [tuple([pair(p, p) for p in
+                                           mono_decode(c, shifts)])
+                                    for c in codes]
+            mus = self._mus[k - d]
+            if reverse:
+                codes, mus = reversed(codes), reversed(mus)
+            yield gi, mus, _coded_rows(index, terms, codes)
+
+    def rows(self, k, upto=None):
+        """(gi, mu, row) for each row of the degree-k layer of gens[:upto].
+
+        Rows come generator by generator, and inside a generator's block
+        by descending leading column, ties in multiplier order, built
+        as they are read, so a caller that streams them never holds the
+        whole layer.  The work budget is checked first.
+        """
+        check_budget(self.nrows(k, upto),
+                     monomial_count(len(self.varkeys), k))
+        return self._blocks(k, upto)
+
+    def _blocks(self, k, upto):
+        codes, _, start, _ = self.layer(k)
+        # no last block: the columns follow a monomial order, so leads
+        # descend as the multipliers ascend, and rows stream unsorted
+        stream = start == len(codes)
+        for gi, mus, block in self._generator_blocks(k, upto, stream):
+            pairs = zip(mus, block)
+            if not stream:
+                pairs = sorted(pairs, key=lambda p: -min(p[1], default=0))
+            for mu, row in pairs:
                 yield gi, mu, row
 
     def eliminate(self, k, upto=None, track=False):
         """Row-reduce the degree-k layer of gens[:upto].
 
         Rows are fed by descending leading column (their smallest column
-        index), ties in generator order and then in multiplier order.
+        index), ties in generator order, then in multiplier order: one
+        stable sort of the rows as built, on a lead taken once per row.
         The order is free, since the pivot columns depend only on the
-        row span and the column order (see the module docstring), and
-        this one makes little fill-in: rows that start late are short,
-        and the pivots they make are what the rows fed after them are
-        reduced by.  Returns the eliminator and the (gi, mu) of each row
-        in feed order; a row's tag is its position in that list.
+        row span and the column order (see the module docstring); this
+        one makes little fill-in, as rows that start late are short and
+        their pivots reduce the rows fed after them.  Returns the
+        eliminator and the (gi, mu) of each row in feed order; a row's
+        tag is its position in that list.
         """
-        rows = sorted(self.rows(k, upto), key=_lead_desc)
-        # popped from the end, so each row is released once it is fed
-        rows.reverse()
+        check_budget(self.nrows(k, upto),
+                     monomial_count(len(self.varkeys), k))
+        fed = [(min(row, default=0), gi, mu, row)
+               for gi, mus, block in self._generator_blocks(k, upto)
+               for mu, row in zip(mus, block)]
+        fed.sort(key=itemgetter(0), reverse=True)
         elim = SparseEliminator(len(self.layer(k)[0]), self.field, track)
-        labels = []
-        while rows:
-            gi, mu, row = rows.pop()
-            elim.add_row(row, len(labels))
-            labels.append((gi, mu))
+        labels = [(gi, mu) for _, gi, mu, _ in fed]
+        for j, entry in enumerate(fed):
+            fed[j] = None   # each row is released once it is fed
+            elim.add_row(entry[3], j)
         return elim, labels
 
     def ranks(self, k):

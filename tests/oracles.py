@@ -8,13 +8,47 @@ and certificates replayed over the field, not its ring.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import sympy
 
 from dalg import DPoly, JetVar
 from dalg.dpoly import mono_mul
-from dalg.linalg import degree_monomials
+
+
+def degree_monomials(varkeys, k):
+    """Monomials of total degree k as tuples, in descending grevlex
+    order, enumerated with no packed codes.
+
+    varkeys must be sorted ascending; for dense exponent tuples over an
+    ascending variable list, ascending tuple order is descending grevlex,
+    so the exponent tuples are emitted in plain sorted order.  They come
+    from stars and bars: bars at positions b_0 < ... < b_(v-2) among
+    k + v - 1 slots give the exponents b_0, b_1 - b_0 - 1, ..., and
+    combinations() yields the bars, and so the tuples, in ascending order.
+    A plain loop, not a recursive closure: a closure that refers to
+    itself is a reference cycle, which would keep each call's lists
+    until the next garbage collection.
+    """
+    v = len(varkeys)
+    if v == 0:
+        return [()] if k == 0 else []
+    # one (variable, exponent) pair object serves every monomial using it
+    pairs = [[(x, e) for e in range(k + 1)] for x in varkeys]
+    last, end = pairs[-1], k + v - 2
+    out = []
+    for bars in combinations(range(k + v - 1), v - 1):
+        mono = []
+        prev = -1
+        for p, b in zip(pairs, bars):
+            if b - prev - 1:
+                mono.append(p[b - prev - 1])
+            prev = b
+        if end - prev:
+            mono.append(last[end - prev])
+        out.append(tuple(mono))
+    return out
 
 
 def dense_rank(rows, ncols, zero=Fraction(0)):
@@ -41,6 +75,21 @@ def dense_rank(rows, ncols, zero=Fraction(0)):
         rank += 1
         col += 1
     return rank
+
+
+def layer_columns(layers, k):
+    """(monomials, first column of the last block) of the degree-k layer
+    of a linalg.MacaulayLayers, built from monomial tuples: the
+    degree-k monomials of degree_monomials, with those whose variables
+    all lie in layers.last moved to the end in the same order.
+    """
+    monos = degree_monomials(layers.varkeys, k)
+    if layers.last is None:
+        return monos, len(monos)
+    tail = [m for m in monos if all(x in layers.last for x, _ in m)]
+    in_tail = set(tail)
+    head = [m for m in monos if m not in in_tail]
+    return head + tail, len(head)
 
 
 def layer_rows(layers, k, upto=None):

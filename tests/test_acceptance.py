@@ -17,13 +17,12 @@ from dalg.eliminate import (Annihilator, NotFoundUpTo, composition_system,
                             eliminate_search, sum_product_system)
 from dalg.hilbert import (check_dregular, check_regular_sequence, hf,
                           hs_regular_closed_form)
-from dalg.linalg import degree_monomials
 from dalg.resultant import elim_algebraic, elim_hyperexp, elim_x, resultant
 from dalg.series import (SeriesQ, apply_dpoly, newton_algebraic_series,
                          series_arith, series_integrate, solve_ode_series,
                          verify_annihilator, witness)
 
-from oracles import DEFAULT_JETS, rand_poly
+from oracles import DEFAULT_JETS, degree_monomials, rand_poly
 
 F = get_field("Q")
 FX = get_field("Q", has_x=True)

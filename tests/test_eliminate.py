@@ -14,11 +14,13 @@ from dalg.eliminate import (Annihilator, AnnihilatorSearch, NotFoundAtK,
                             rational_system, sum_product_system)
 from dalg.errors import BudgetExceededError, DalgError
 from dalg.fields import ring_of
-from dalg.linalg import MacaulayLayers, SparseEliminator, budget_limit
+from dalg.linalg import (MacaulayLayers, SparseEliminator, budget_limit,
+                         code_shifts, mono_decode, monomial_count)
 from dalg.series import series_arith, verify_annihilator, witness
 from dalg.system import SystemSpec
 
-from oracles import field_replay, layer_rows, rand_poly
+from oracles import (degree_monomials, field_replay, layer_columns,
+                     layer_rows, rand_poly)
 
 F = get_field("Q")
 
@@ -248,6 +250,25 @@ def test_certificate_refuses_an_altered_cleared_term(name):
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certificate_refuses_a_wrong_column_decode(monkeypatch, name):
+    # two columns of the annihilator's row decoded to each other's
+    # monomials: the ring replay multiplies monomial tuples, so the row
+    # it is compared with no longer matches
+    search, k, elim, labels, ridx, _ = _layer(name)
+    assert isinstance(search.read(k, elim, labels), Annihilator)
+    codes, _, _, _ = search.layers.layer(k)
+    row = elim.rows[ridx]
+    a, b = next((a, b) for a in row for b in row if row[a] != row[b])
+    swap = {codes[a]: codes[b], codes[b]: codes[a]}
+    real = eliminate_mod.mono_decode
+    monkeypatch.setattr(eliminate_mod, "mono_decode",
+                        lambda code, shifts: real(swap.get(code, code), shifts))
+    with pytest.raises(DalgError,
+                       match="membership certificate failed to replay"):
+        search.read(k, elim, labels)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
 def test_certificate_refuses_an_altered_trail_numerator(name):
     search, k, elim, labels, ridx, _ = _layer(name)
     real = elim.trail_numerators
@@ -330,6 +351,37 @@ def test_layer_rows_match_tuple_oracle(name, system, target, r, k_max):
             position = {(gi, mu): j for j, (gi, mu, _) in enumerate(want)}
             keys = [(gi, -min(row), position[gi, mu]) for gi, mu, row in got]
             assert keys == sorted(keys), k
+
+
+@pytest.mark.parametrize("name, system, target, r, k_max", AGREEMENT,
+                         ids=[c[0] for c in AGREEMENT])
+def test_layer_columns_match_tuple_oracle(name, system, target, r, k_max):
+    # columns enumerated as packed codes decode to the oracle's columns
+    # built from monomial tuples, for k = 0..9 (fields 1 to 4 bits
+    # wide) up to 50000 columns, so the 12-variable cases stop at k = 7
+    # and the others reach k = 9: in the search's layers (target block
+    # last), without a last block, and with a last block no monomial of
+    # degree k > 0 lies in; the multiplier codes of every degree e <= k
+    # decode, in order, to degree_monomials
+    search = AnnihilatorSearch(system, target, r)
+    varkeys = search.layers.varkeys
+    plain = MacaulayLayers(system.field, search.h_gens, varkeys)
+    empty = MacaulayLayers(system.field, search.h_gens, varkeys,
+                           last={("none", 0, 0)})
+    ks = [k for k in range(10) if monomial_count(len(varkeys), k) <= 50000]
+    for layers in (search.layers, plain, empty):
+        for k in ks:
+            monos, start = layer_columns(layers, k)
+            assert layers.columns(k) == (
+                monos, {m: i for i, m in enumerate(monos)}, start), k
+            if layers is empty:
+                assert start == len(monos) - (k == 0)
+    shifts = {k: code_shifts(varkeys, k) for k in ks}
+    for k in ks:
+        for e in range(k + 1):
+            codes = plain._degree_codes(e, k.bit_length())
+            assert ([mono_decode(c, shifts[k]) for c in codes]
+                    == degree_monomials(varkeys, e)), (k, e)
 
 
 @pytest.mark.parametrize("name, system, target, r, k_max", AGREEMENT,

@@ -1,11 +1,13 @@
 """Coefficient fields: labels, arithmetic helpers, x-handling."""
 
+import gc
 from fractions import Fraction
 
 import pytest
 
 from dalg import field_from_label, get_field
 from dalg.errors import FieldError, HypothesisError, ParseError
+from dalg.fields import ring_of
 
 
 LABELS = ["Q", "Qi", "Q(a;)", "Q(;x)", "Q(a;x)", "Qi(c;)", "Qi(a,b;x)"]
@@ -16,6 +18,25 @@ def test_label_round_trip(label):
     f = field_from_label(label)
     assert f.desc.label == label
     assert field_from_label(f.desc.label).desc == f.desc
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_ring_is_built_once_per_field(label):
+    # ring_of hands back the same (R, F) on every call, and a repeated
+    # call leaves nothing for the garbage collector: a new sympy ring
+    # domain per call left objects in reference cycles
+    f = field_from_label(label)
+    R, F = ring_of(f)
+    assert ring_of(f)[0] is R and ring_of(f)[1] is F
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        ring_of(f)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_bad_labels_rejected():

@@ -12,11 +12,12 @@ from dalg.dpoly import mono_mul
 from dalg.errors import DalgError
 from dalg.hilbert import (check_dregular, check_regular_sequence, hf,
                           hs_regular_closed_form)
-from dalg.linalg import (MacaulayLayers, SparseEliminator, degree_monomials,
-                         modp_rank, monomial_count, ring_vars)
+from dalg.linalg import (MacaulayLayers, SparseEliminator, modp_rank,
+                         monomial_count, ring_vars)
 from dalg.system import prolong
 
-from oracles import DEFAULT_JETS, dense_rank, layer_rows, rand_poly
+from oracles import (DEFAULT_JETS, degree_monomials, dense_rank, layer_rows,
+                     rand_poly)
 
 F = get_field("Q")
 Y1, Y2, Y3 = JetVar.y(1), JetVar.y(2), JetVar.y(3)

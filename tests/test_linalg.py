@@ -18,10 +18,9 @@ from dalg.fields import (clear_denominators, primitive_divisor,
                          ring_cofactors, ring_of)
 from dalg.hilbert import check_dregular, hf
 from dalg.linalg import (MOD_P, SparseEliminator, budget_limit, check_budget,
-                         code_shifts, degree_monomials, modp_rank,
-                         mono_code, monomial_count)
+                         code_shifts, modp_rank, mono_code, monomial_count)
 
-from oracles import dense_rank, rand_coeff
+from oracles import degree_monomials, dense_rank, rand_coeff
 
 
 def _random_rows(rng, nrows, ncols, density=0.4, frac=False):
@@ -148,6 +147,41 @@ def test_trail_replays_each_reduced_row(label, size):
             replay = {j: v for j, v in replay.items() if v}
             assert replay == {j: F.convert_from(v, R) for j, v in stored.items()}
     assert dependent
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["untracked", "tracked"])
+@pytest.mark.parametrize("label", ["Q", "Qi(c;)"], ids=["Z", "Z[i][c]"])
+def test_add_row_leaves_the_callers_row_alone(label, track):
+    # the eliminator reduces its own copy of a row in place; no row a
+    # caller fed in changes, over a row reduced by pivots with leading
+    # entry one (ma == 1) and by pivots whose lead does not divide the
+    # row's entry (ma != 1), two steps of each
+    field = field_from_label(label)
+    R, _ = ring_of(field)
+    one = R.one
+    x = R.gens[0] if label != "Q" else 3
+    rows = [{0: one, 5: x, 7: one}, {1: x + 2 * one, 4: one},
+            {2: one, 6: 3 * one}, {3: 2 * one, 8: one},
+            {0: 3 * one, 1: x, 2: one, 3: 5 * one, 9: one}]
+    copies = [dict(row) for row in rows]
+    elim = SparseEliminator(10, field=field, track=track)
+    steps = []
+    real = elim._cofactors
+
+    def spy(a, b):
+        g, ma, mb = real(a, b)
+        steps.append(ma)
+        return g, ma, mb
+    elim._cofactors = spy
+    for t, row in enumerate(rows):
+        elim.add_row(row, t)
+    assert rows == copies
+    assert elim.rank == 5 and elim.rows[-1].keys() == {4, 5, 6, 7, 8, 9}
+    assert sum(ma == one for ma in steps) == 2
+    assert sum(ma != one for ma in steps) == 2
+    if track:
+        nums, den = elim.trail_numerators(4)
+        assert set(nums) == set(range(5))
 
 
 def test_modp_rank_lower_bounds_exact_rank():
