@@ -90,9 +90,8 @@ class AnnihilatorSearch:
 
     The system is prolonged to order r - r_l, homogenized and cleared
     into the ring of its field once, and the one MacaulayLayers in
-    layers serves every degree k, so no degree's monomials are
-    enumerated twice.  read() turns an eliminated layer into the
-    search's answer at that degree.
+    layers serves every degree k.  read() turns an eliminated layer
+    into the search's answer at that degree.
     """
 
     def __init__(self, system: SystemSpec, l, r):
@@ -115,20 +114,22 @@ class AnnihilatorSearch:
 
     def read(self, k, elim, labels):
         """The annihilator at the degree-k layer reduced into elim, whose
-        row tags index labels, or NotFoundAtK.
+        row tags index labels, (gi, multiplier code) pairs, or
+        NotFoundAtK.
 
         The annihilator is the echelon row at the largest pivot column
-        of the target block; only that row's columns are decoded from
-        their packed codes into monomial tuples.  Its certificate is
-        replayed in the ring R of the field, with products of monomial
-        tuples, so a fault in the codes or their decoding fails it: the
-        trail's numerators over their denominator den must give
-        sum num * mu * terms[gi] == den * row, with terms[gi] the
-        cleared terms of generator gi.  Each generator the trail uses is
-        also checked against the generator itself, dens[gi] *
-        h_gens[gi] == terms[gi], once per search, so a clearing fault
-        fails the certificate too.  The row is then dehomogenized and
-        normalized in R (_dehomogenized).
+        of the target block.  Monomial tuples are decoded from their
+        packed codes here and nowhere else in the search: that row's
+        columns, and the multiplier of each row its certificate uses.
+        The certificate is replayed in the ring R of the field, with
+        products of monomial tuples, so a fault in the codes or their
+        decoding fails it: the trail's numerators over their
+        denominator den must give sum num * mu * terms[gi] == den * row,
+        with terms[gi] the cleared terms of generator gi.  Each
+        generator the trail uses is also checked against the generator
+        itself, dens[gi] * h_gens[gi] == terms[gi], once per search, so
+        a clearing fault fails the certificate too.  The row is then
+        dehomogenized and normalized in R (_dehomogenized).
         """
         layers, field = self.layers, self.layers.field
         codes, _, target_start, shifts = layers.layer(k)
@@ -146,7 +147,8 @@ class AnnihilatorSearch:
         nums, den = elim.trail_numerators(ridx)
         combo = {}
         for tag, w in nums.items():
-            gi, mu = labels[tag]
+            gi, mc = labels[tag]
+            mu = mono_decode(mc, shifts)
             for mo, c in layers.terms[gi]:
                 m = mono_mul(mu, mo)
                 v = combo.get(m, R.zero) + w * c

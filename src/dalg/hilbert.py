@@ -10,7 +10,8 @@ injectivity of the multiplication map.
 The check runs degree by degree, feeding each layer generator by
 generator, so the running rank at the last row of generator i is the
 rank of the prefix gens[:i].  Inside a generator's block the rows come
-by descending leading column (MacaulayLayers.rows), which makes less
+by descending multiplier (MacaulayLayers.rows), which on these layers,
+with no last block, is descending leading column: it makes less
 fill-in and changes no prefix rank, since a prefix rank depends only
 on the span of the prefix.  rank_i(k) <= rank_{i-1}(k) +
 HF_{i-1}(k - d_i) always holds, and meeting that bound is exactly the
@@ -135,8 +136,7 @@ def check_regular_sequence(gens, vars_, cutoff):
     for k in range(cutoff + 1):
         running = exact = None
         if layers.int_mode and layers.nrows(k):
-            running = modp_rank((row for _, _, row in layers.rows(k)),
-                                monomial_count(v, k))
+            running = modp_rank(layers.rows(k), monomial_count(v, k))
         for i in range(1, n + 1):
             d_i = layers.degs[i - 1]
             prev = ranks[i - 1]

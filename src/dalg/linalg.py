@@ -2,14 +2,16 @@
 
 MacaulayLayers is the one builder of Macaulay layers: it orders the
 columns, makes the rows monomial * generator and checks the work budget
-before any row of a layer is built.  Inside a layer a monomial is a
+before any row of a layer is built.  Inside the builder a monomial is a
 packed integer code (code_shifts, mono_code), one bit field per
-variable: columns and multipliers are enumerated as sorted codes, the
-column of a product is found from the sum of two codes, and monomial
-tuples are decoded (mono_decode) only where callers read them.  Each
-generator is cleared of denominators once, into the ring R of its field:
-ints over plain Q, Gaussian integers over Q(i), and polynomials over
-those in the parameters and x otherwise.  The fields module owns that
+variable: columns and multipliers are read from one table of ascending
+codes per layer (degree_codes), the column of a product is found from
+the sum of two codes, and a row is labelled by its multiplier's code.
+Monomial tuples are decoded (mono_decode) only by the search that reads
+an annihilator and replays its certificate.  Each generator is cleared
+of denominators once, into the ring R of its field: ints over plain Q,
+Gaussian integers over Q(i), and polynomials over those in the
+parameters and x otherwise.  The fields module owns that
 ring (ring_of, ring_cofactors, clear_denominators) and the canonical
 primitive form over it (primitive_divisor); this module only uses them.
 ring_vars reads the variables of a layer's ring off its generators.
@@ -31,14 +33,15 @@ only its certificate differs.  The order does decide the fill-in.
 MacaulayLayers.eliminate feeds a layer's rows by descending leading
 column, ties in generator order: rows that start late are short, so
 they become pivots first and the rows that start early are reduced by
-sparse pivots.  MacaulayLayers.ranks and the mod-p pre-screen read the
-rank of each prefix of the generators from their running ranks, so
-they feed generator by generator, in the block order of
-MacaulayLayers.rows: inside each generator's block, by descending
-leading column as well.  A prefix rank depends only on the span of the
-prefix, so the order inside a block changes no prefix rank, only the
-fill-in.  The rows are streamed one block at a time, and the whole
-layer is never held.
+sparse pivots.  Every other reader takes the one row stream of
+MacaulayLayers.rows: generator by generator, and inside each
+generator's block by descending multiplier, which on a layer without a
+last block is descending leading column as well.  MacaulayLayers.ranks
+and the mod-p pre-screen read the rank of each prefix of the generators
+from their running ranks over that stream.  A prefix rank depends only
+on the span of the prefix, so the order inside a block changes no
+prefix rank, only the fill-in.  The rows are built as they are read,
+and the whole layer is never held.
 
 With tracking on, each stored row keeps a recipe instead of a trail: the
 pivot rows it was reduced by with their multipliers, the tag of the row
@@ -47,8 +50,7 @@ reduction steps in R.  Recording a recipe costs no more than the
 elimination it records.  trail_numerators() expands the recipes on
 demand into numerators in R over one common denominator: an exact
 combination of the rows fed in, which callers replay in R as a
-membership certificate.  trail_of() divides it once into coefficients
-of the field.
+membership certificate.
 
 modp_rank reduces the same sparse integer rows over F_p with plain
 integer arithmetic and reports the rank after every row, so one pass
@@ -66,7 +68,6 @@ from array import array
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from math import comb
-from operator import itemgetter
 
 from .dpoly import JetVar
 from .errors import BudgetExceededError, DalgError
@@ -274,18 +275,6 @@ class SparseEliminator:
                     heappush(heap, -p)
         return {t: lift(*v) for t, v in out.items() if v[0]}, dens[-1]
 
-    def trail_of(self, i):
-        """Stored row i as a combination {tag: coefficient} of the input
-        rows, or None without tracking.  Coefficients are elements of the
-        field (Fractions over plain Q): trail_numerators divided once by
-        its denominator."""
-        if self.trails[i] is None:
-            return None
-        R, F = self.ring, self.domain
-        nums, den = self.trail_numerators(i)
-        d = F.convert_from(den, R)
-        return {t: F.convert_from(v, R) / d for t, v in nums.items()}
-
 
 # ---------------------------------------------------------------------------
 # Macaulay layers
@@ -328,6 +317,25 @@ def mono_decode(code, shifts):
     return tuple(mono)
 
 
+def degree_codes(v, w, k):
+    """Ascending codes, under fields w bits wide, of the monomials of
+    each degree 0..k in v >= 1 variables: entry e lists degree e.
+
+    Built from the last variable up, with no set and no sort: the codes
+    of degree e in the last j + 1 variables are, for each exponent a of
+    the first of them in ascending order, a in that variable's field
+    (bit j * w) in front of the codes of degree e - a in the last j
+    variables.  That field is the highest in use, so each list is
+    ascending as it is built.
+    """
+    table = [[e] for e in range(k + 1)]
+    for j in range(1, v):
+        s = j * w
+        table = [[(a << s) + c for a in range(e + 1) for c in table[e - a]]
+                 for e in range(k + 1)]
+    return table
+
+
 def _coded_rows(index, terms, codes):
     """The row mu*g of each multiplier code, g given by its coded terms."""
     for mc in codes:
@@ -346,11 +354,13 @@ class MacaulayLayers:
     F (see ring_of).  Over plain Q the rows are integer rows, which
     modp_rank reads as well.
 
-    Inside a layer a monomial is its code under the layer's code_shifts:
-    columns and multipliers are sorted codes, the last block is the
-    codes one bit mask zeroes, and mu*t sits at index[code(mu) + code(t)].
-    Monomial tuples remain only where callers read them: columns(), the
-    mu of each row, and the row an annihilator is read from.
+    Inside the builder every monomial is its code under the layer's
+    code_shifts: the layer keeps one table of degree_codes, whose entry
+    k holds the columns and entry k - deg g the multipliers of g; the
+    last block is the codes one bit mask zeroes, and mu*t sits at
+    index[code(mu) + code(t)].  A row is labelled by its generator and
+    its multiplier's code; monomial tuples are decoded only by the
+    search that reads an annihilator (eliminate.AnnihilatorSearch.read).
     """
 
     def __init__(self, field, gens, varkeys, last=None):
@@ -365,32 +375,18 @@ class MacaulayLayers:
             terms, den = clear_denominators(R, F, g.terms.items())
             self.terms.append(terms)
             self.dens.append(den)
-        self._layer = self._width = self._codes = None
-        self._mus, self._pairs = {}, {}   # multiplier tuples by degree
-
-    def _degree_codes(self, e, w):
-        """Ascending codes of the degree-e monomials under fields w bits
-        wide, each degree built from the one below: every code plus each
-        variable's unit code, deduplicated and sorted.  Kept until the
-        width changes: a search reuses them across its degrees."""
-        if w != self._width:
-            self._width, self._codes = w, {0: [0]}
-        codes = self._codes.get(e)
-        if codes is None:
-            units = [1 << i * w for i in range(len(self.varkeys))]
-            codes = sorted({c + u for c in self._degree_codes(e - 1, w)
-                            for u in units})
-            self._codes[e] = codes
-        return codes
+        # (k, degree_codes table, layer(k)) of the layer asked for last:
+        # callers work through their layers in turn
+        self._layer = None
 
     def layer(self, k):
         """(column codes, column of each code, first column of the last
-        block, code_shifts) of the degree-k layer.  Only the layer asked
-        for last is kept: callers work through their layers in turn."""
+        block, code_shifts) of the degree-k layer."""
         if self._layer is None or self._layer[0] != k:
             w = k.bit_length()
             shifts = code_shifts(self.varkeys, k)
-            codes = self._degree_codes(k, w)
+            table = degree_codes(len(self.varkeys), w, k)
+            codes = table[k]
             start = len(codes)
             if self.last is not None:
                 mask = sum(((1 << w) - 1) << s for x, s in shifts.items()
@@ -399,90 +395,63 @@ class MacaulayLayers:
                 start = len(head)
                 codes = head + [c for c in codes if not c & mask]
             index = dict(zip(codes, range(len(codes))))
-            self._layer = (k, (codes, index, start, shifts))
-        return self._layer[1]
-
-    def columns(self, k):
-        """(monomials, column of each monomial, first column of the last
-        block) of the degree-k layer, decoded from the codes per call."""
-        codes, _, start, shifts = self.layer(k)
-        monos = [mono_decode(c, shifts) for c in codes]
-        return monos, {m: i for i, m in enumerate(monos)}, start
+            self._layer = (k, table, (codes, index, start, shifts))
+        return self._layer[2]
 
     def nrows(self, k, upto=None):
         """Row count of the degree-k layer of gens[:upto]."""
         v = len(self.varkeys)
         return sum(monomial_count(v, k - d) for d in self.degs[:upto] if d <= k)
 
-    def _generator_blocks(self, k, upto, reverse=False):
-        """(gi, multipliers, rows) for each generator of gens[:upto] in
-        the degree-k layer, rows built as they are read, by ascending
-        multiplier or, with reverse, descending."""
+    def _factors(self, k):
+        """The column of each code in the degree-k layer, and (gi,
+        multiplier codes, coded terms) of each generator with rows in
+        it: what rows and eliminate build their rows from.  The work
+        budget is checked on every call, so a layer kept from an earlier
+        call is checked again under the budget in force now."""
+        check_budget(self.nrows(k), monomial_count(len(self.varkeys), k))
         _, index, _, shifts = self.layer(k)
-        for gi, d in enumerate(self.degs[:upto]):
-            if d > k:
-                continue
-            # coded from terms on every call, so rows always follow terms
-            terms = [(mono_code(m, shifts), c) for m, c in self.terms[gi]]
-            codes = self._degree_codes(k - d, k.bit_length())
-            if k - d not in self._mus:
-                pair = self._pairs.setdefault
-                self._mus[k - d] = [tuple([pair(p, p) for p in
-                                           mono_decode(c, shifts)])
-                                    for c in codes]
-            mus = self._mus[k - d]
-            if reverse:
-                codes, mus = reversed(codes), reversed(mus)
-            yield gi, mus, _coded_rows(index, terms, codes)
+        table = self._layer[1]
+        # coded from terms on every call, so rows always follow terms
+        return index, [(gi, table[k - d],
+                        [(mono_code(m, shifts), c) for m, c in self.terms[gi]])
+                       for gi, d in enumerate(self.degs) if d <= k]
 
-    def rows(self, k, upto=None):
-        """(gi, mu, row) for each row of the degree-k layer of gens[:upto].
-
-        Rows come generator by generator, and inside a generator's block
-        by descending leading column, ties in multiplier order, built
-        as they are read, so a caller that streams them never holds the
+    def rows(self, k):
+        """The rows of the degree-k layer, generator by generator, and
+        inside a generator's block by descending multiplier, built as
+        they are read, so a caller that streams them never holds the
         whole layer.  The work budget is checked first.
+
+        Without a last block the columns follow a monomial order, so
+        descending multipliers are descending leading columns.
         """
-        check_budget(self.nrows(k, upto),
-                     monomial_count(len(self.varkeys), k))
-        return self._blocks(k, upto)
+        index, blocks = self._factors(k)
+        return (row for _, codes, terms in blocks
+                for row in _coded_rows(index, terms, reversed(codes)))
 
-    def _blocks(self, k, upto):
-        codes, _, start, _ = self.layer(k)
-        # no last block: the columns follow a monomial order, so leads
-        # descend as the multipliers ascend, and rows stream unsorted
-        stream = start == len(codes)
-        for gi, mus, block in self._generator_blocks(k, upto, stream):
-            pairs = zip(mus, block)
-            if not stream:
-                pairs = sorted(pairs, key=lambda p: -min(p[1], default=0))
-            for mu, row in pairs:
-                yield gi, mu, row
-
-    def eliminate(self, k, upto=None, track=False):
-        """Row-reduce the degree-k layer of gens[:upto].
+    def eliminate(self, k, track=False):
+        """Row-reduce the degree-k layer.
 
         Rows are fed by descending leading column (their smallest column
         index), ties in generator order, then in multiplier order: one
-        stable sort of the rows as built, on a lead taken once per row.
-        The order is free, since the pivot columns depend only on the
-        row span and the column order (see the module docstring); this
-        one makes little fill-in, as rows that start late are short and
-        their pivots reduce the rows fed after them.  Returns the
-        eliminator and the (gi, mu) of each row in feed order; a row's
-        tag is its position in that list.
+        stable sort of the rows as built.  The order is free, since the
+        pivot columns depend only on the row span and the column order
+        (see the module docstring); this one makes little fill-in, as
+        rows that start late are short and their pivots reduce the rows
+        fed after them.  Returns the eliminator and the (gi, multiplier
+        code) of each row in feed order; a row's tag is its position in
+        that list.
         """
-        check_budget(self.nrows(k, upto),
-                     monomial_count(len(self.varkeys), k))
-        fed = [(min(row, default=0), gi, mu, row)
-               for gi, mus, block in self._generator_blocks(k, upto)
-               for mu, row in zip(mus, block)]
-        fed.sort(key=itemgetter(0), reverse=True)
-        elim = SparseEliminator(len(self.layer(k)[0]), self.field, track)
-        labels = [(gi, mu) for _, gi, mu, _ in fed]
+        index, blocks = self._factors(k)
+        fed = [(gi, mc, row) for gi, codes, terms in blocks
+               for mc, row in zip(codes, _coded_rows(index, terms, codes))]
+        fed.sort(key=lambda e: min(e[2], default=0), reverse=True)
+        elim = SparseEliminator(len(index), self.field, track)
+        labels = [(gi, mc) for gi, mc, _ in fed]
         for j, entry in enumerate(fed):
             fed[j] = None   # each row is released once it is fed
-            elim.add_row(entry[3], j)
+            elim.add_row(entry[2], j)
         return elim, labels
 
     def ranks(self, k):
@@ -494,7 +463,7 @@ class MacaulayLayers:
         rows = self.rows(k)
         elim = SparseEliminator(len(self.layer(k)[0]), self.field)
         out = array("l")
-        for _, _, row in rows:
+        for row in rows:
             elim.add_row(row)
             out.append(elim.rank)
         return out
@@ -511,11 +480,10 @@ def modp_rank(rows, ncols):
     Each stored pivot row is scaled to a leading 1 and every row fed in is
     reduced by them, sparse, under the same column order as the exact
     eliminator.  Rows fed later never change an earlier entry, so for a
-    layer fed generator by generator (as MacaulayLayers.rows gives it,
-    each generator's block by descending leading column) the entry at
-    each generator's last row is the rank of that prefix alone.  No
-    entry exceeds the rank over Q of the same rows.  The rows carry
-    their own columns, so ncols only names the layer's width.
+    layer fed generator by generator (as MacaulayLayers.rows gives it)
+    the entry at each generator's last row is the rank of that prefix
+    alone.  No entry exceeds the rank over Q of the same rows.  The rows
+    carry their own columns, so ncols only names the layer's width.
     """
     pivots = {}
     ranks = array("l")

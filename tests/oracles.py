@@ -92,18 +92,38 @@ def layer_columns(layers, k):
     return head + tail, len(head)
 
 
-def layer_rows(layers, k, upto=None):
+def layer_rows(layers, k):
     """(gi, mu, row) for each row of the degree-k layer of a
-    linalg.MacaulayLayers over gens[:upto], in generator order and then
-    multiplier order, built from monomial tuples: the entry of mu times
-    a cleared term t of generator gi sits at the column of
-    mono_mul(mu, t), found in the layer's columns by monomial.
+    linalg.MacaulayLayers, in generator order and then multiplier
+    order, built from monomial tuples: the entry of mu times a cleared
+    term t of generator gi sits at the column of mono_mul(mu, t) in
+    layer_columns.
     """
-    _, col_pos, _ = layers.columns(k)
+    monos, _ = layer_columns(layers, k)
+    col_pos = {m: i for i, m in enumerate(monos)}
     return [(gi, mu, {col_pos[mono_mul(mu, m)]: c
                       for m, c in layers.terms[gi]})
-            for gi, d in enumerate(layers.degs[:upto]) if d <= k
+            for gi, d in enumerate(layers.degs) if d <= k
             for mu in degree_monomials(layers.varkeys, k - d)]
+
+
+def code_monomial(code, shifts, k):
+    """The monomial tuple of a packed code of layer k under
+    linalg.code_shifts: each exponent masked out of its own field,
+    k.bit_length() bits wide."""
+    mask = (1 << k.bit_length()) - 1
+    return tuple(sorted((x, code >> s & mask) for x, s in shifts.items()
+                        if code >> s & mask))
+
+
+def trail_of(elim, i):
+    """Stored row i of a tracked linalg.SparseEliminator as a
+    combination {tag: coefficient} of the input rows, coefficients in
+    the field: its trail_numerators divided once by their denominator."""
+    R, F = elim.ring, elim.domain
+    nums, den = elim.trail_numerators(i)
+    d = F.convert_from(den, R)
+    return {t: F.convert_from(v, R) / d for t, v in nums.items()}
 
 
 def sympy_resultant(p_coeffs, q_coeffs):
@@ -204,13 +224,15 @@ def field_replay(search, k, elim, labels):
     degree-k layer of an eliminate.AnnihilatorSearch, replayed over the
     field: None when the layer has no annihilator row, else whether the
     row equals sum coeff * mu * dens[gi] * h_gens[gi] over the row's
-    trail (elim.trail_of, coefficients in the field), with every product
-    a DPoly product of field elements and generators read as they are,
-    not as their cleared rows.
+    trail (trail_of, coefficients in the field), with every product a
+    DPoly product of field elements and generators read as they are,
+    not as their cleared rows.  Columns are layer_columns, and each
+    label's multiplier code is decoded by code_monomial.
     """
     layers = search.layers
     field = layers.field
-    columns, _, start = layers.columns(k)
+    columns, start = layer_columns(layers, k)
+    shifts = layers.layer(k)[3]
     hits = [c for c in elim.pivot_of_col if c >= start]
     if not hits:
         return None
@@ -219,8 +241,9 @@ def field_replay(search, k, elim, labels):
     row = DPoly(field, {columns[c]: F.convert_from(v, R)
                         for c, v in elim.rows[ridx].items()})
     combo = DPoly.zero(field)
-    for tag, coeff in elim.trail_of(ridx).items():
-        gi, mu = labels[tag]
+    for tag, coeff in trail_of(elim, ridx).items():
+        gi, mc = labels[tag]
+        mu = code_monomial(mc, shifts, k)
         piece = DPoly(field, {mu: field.one}) * search.h_gens[gi]
         combo = combo + piece * (coeff * layers.dens[gi])
     return combo == row

@@ -15,7 +15,8 @@ from dalg.eliminate import (Annihilator, AnnihilatorSearch, NotFoundAtK,
 from dalg.errors import BudgetExceededError, DalgError
 from dalg.fields import ring_of
 from dalg.linalg import (MacaulayLayers, SparseEliminator, budget_limit,
-                         code_shifts, mono_decode, monomial_count)
+                         code_shifts, degree_codes, mono_code, mono_decode,
+                         monomial_count)
 from dalg.series import series_arith, verify_annihilator, witness
 from dalg.system import SystemSpec
 
@@ -177,7 +178,8 @@ def test_descending_feed_stores_fewer_nonzeros():
     search = AnnihilatorSearch(_exp_tan_sum(), "z", 2)
     layers = search.layers
     fed, labels = layers.eliminate(4, track=True)
-    plain = SparseEliminator(len(layers.columns(4)[0]), layers.field, True)
+    plain = SparseEliminator(len(layer_columns(layers, 4)[0]), layers.field,
+                             True)
     in_order = layer_rows(layers, 4)
     for _, _, row in in_order:
         plain.add_row(row)
@@ -187,9 +189,10 @@ def test_descending_feed_stores_fewer_nonzeros():
     nnz_plain = sum(len(row) for row in plain.rows)
     assert nnz_fed < nnz_plain
     assert (nnz_fed, nnz_plain) == (3260, 4265)
-    # labels follow the feed: leading columns descend, ties in
-    # generator order and then multiplier order
-    position = {(gi, mu): (-min(row), j)
+    # labels, (gi, multiplier code), follow the feed: leading columns
+    # descend, ties in generator order and then multiplier order
+    shifts = layers.layer(4)[3]
+    position = {(gi, mono_code(mu, shifts)): (-min(row), j)
                 for j, (gi, mu, row) in enumerate(in_order)}
     keys = [position[label] for label in labels]
     assert keys == sorted(keys)
@@ -211,7 +214,7 @@ def _layer(name):
     build, r, k = CERTIFIED[name]
     search = AnnihilatorSearch(build(), "z", r)
     elim, labels = search.layers.eliminate(k, track=True)
-    _, _, start = search.layers.columns(k)
+    _, start = layer_columns(search.layers, k)
     ridx = elim.pivot_of_col[max(c for c in elim.pivot_of_col if c >= start)]
     tags = elim.trail_numerators(ridx)[0]
     return search, k, elim, labels, ridx, {labels[t][0] for t in tags}
@@ -266,6 +269,39 @@ def test_certificate_refuses_a_wrong_column_decode(monkeypatch, name):
     with pytest.raises(DalgError,
                        match="membership certificate failed to replay"):
         search.read(k, elim, labels)
+
+
+@pytest.mark.parametrize("name", ["prod", "gaussian-parameter"])
+def test_certificate_refuses_a_wrong_multiplier_code(name):
+    # labels carry multiplier codes, which read() decodes only for the
+    # certificate's tags: a tag whose label names another multiplier of
+    # the same degree makes the replay multiply the wrong monomial, for
+    # each tag in turn whose multipliers have a degree above zero
+    _, system, target, r, k_max = next(c for c in AGREEMENT if c[0] == name)
+    search = AnnihilatorSearch(system, target, r)
+    layers = search.layers
+    for k in range(1, k_max + 1):
+        elim, labels = layers.eliminate(k, track=True)
+        if isinstance(search.read(k, elim, labels), Annihilator):
+            break
+    _, start = layer_columns(layers, k)
+    ridx = elim.pivot_of_col[max(c for c in elim.pivot_of_col if c >= start)]
+    table = degree_codes(len(layers.varkeys), k.bit_length(), k)
+    swapped = 0
+    for tag in elim.trail_numerators(ridx)[0]:
+        gi, mc = labels[tag]
+        codes = table[k - layers.degs[gi]]
+        if len(codes) < 2:
+            continue
+        other = codes[codes.index(mc) - 1]
+        labels[tag] = (gi, other)
+        with pytest.raises(DalgError,
+                           match="membership certificate failed to replay"):
+            search.read(k, elim, labels)
+        labels[tag] = (gi, mc)
+        swapped += 1
+    assert swapped
+    assert isinstance(search.read(k, elim, labels), Annihilator)
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFIED))
@@ -336,8 +372,8 @@ def test_layer_rows_match_tuple_oracle(name, system, target, r, k_max):
     # rows built from packed codes equal the oracle's rows built from
     # monomial tuples, in the search's layers (target block last) and in
     # layers of the same generators without a last block; they come
-    # generator by generator, and in a block by descending leading
-    # column, ties in multiplier order
+    # generator by generator, and in a block by descending multiplier,
+    # which without a last block is descending leading column
     search = AnnihilatorSearch(system, target, r)
     plain = MacaulayLayers(system.field, search.h_gens,
                            search.layers.varkeys)
@@ -345,12 +381,16 @@ def test_layer_rows_match_tuple_oracle(name, system, target, r, k_max):
         for k in range(1, k_max + 1):
             want = layer_rows(layers, k)
             got = list(layers.rows(k))
-            assert ({(gi, mu): row for gi, mu, row in got}
-                    == {(gi, mu): row for gi, mu, row in want})
             assert len(got) == len(want) == layers.nrows(k)
-            position = {(gi, mu): j for j, (gi, mu, _) in enumerate(want)}
-            keys = [(gi, -min(row), position[gi, mu]) for gi, mu, row in got]
-            assert keys == sorted(keys), k
+            blocks = {}
+            for gi, mu, row in want:
+                blocks.setdefault(gi, []).append(row)
+            assert got == [row for gi in sorted(blocks)
+                           for row in reversed(blocks[gi])], k
+            if layers is plain:
+                for block in blocks.values():
+                    leads = [min(row) for row in reversed(block)]
+                    assert all(a > b for a, b in zip(leads, leads[1:])), k
 
 
 @pytest.mark.parametrize("name, system, target, r, k_max", AGREEMENT,
@@ -372,15 +412,17 @@ def test_layer_columns_match_tuple_oracle(name, system, target, r, k_max):
     for layers in (search.layers, plain, empty):
         for k in ks:
             monos, start = layer_columns(layers, k)
-            assert layers.columns(k) == (
-                monos, {m: i for i, m in enumerate(monos)}, start), k
+            codes, index, got_start, shifts = layers.layer(k)
+            assert [mono_decode(c, shifts) for c in codes] == monos, k
+            assert index == {c: i for i, c in enumerate(codes)}, k
+            assert got_start == start, k
             if layers is empty:
                 assert start == len(monos) - (k == 0)
     shifts = {k: code_shifts(varkeys, k) for k in ks}
     for k in ks:
+        table = degree_codes(len(varkeys), k.bit_length(), k)
         for e in range(k + 1):
-            codes = plain._degree_codes(e, k.bit_length())
-            assert ([mono_decode(c, shifts[k]) for c in codes]
+            assert ([mono_decode(c, shifts[k]) for c in table[e]]
                     == degree_monomials(varkeys, e)), (k, e)
 
 
@@ -398,7 +440,7 @@ def test_annihilator_is_the_normalized_field_row(name, system, target, r,
         res = search.read(k, elim, labels)
         if not isinstance(res, Annihilator):
             continue
-        columns, _, start = search.layers.columns(k)
+        columns, start = layer_columns(search.layers, k)
         ridx = elim.pivot_of_col[max(c for c in elim.pivot_of_col
                                      if c >= start)]
         R, F = elim.ring, elim.domain

@@ -16,8 +16,8 @@ from dalg.linalg import (MacaulayLayers, SparseEliminator, modp_rank,
                          monomial_count, ring_vars)
 from dalg.system import prolong
 
-from oracles import (DEFAULT_JETS, degree_monomials, dense_rank, layer_rows,
-                     rand_poly)
+from oracles import (DEFAULT_JETS, degree_monomials, dense_rank,
+                     layer_columns, layer_rows, rand_poly)
 
 F = get_field("Q")
 Y1, Y2, Y3 = JetVar.y(1), JetVar.y(2), JetVar.y(3)
@@ -64,12 +64,13 @@ def test_macaulay_rank_matches_dense_oracle():
             gens.append(p)
         layers = MacaulayLayers(F, gens, varkeys)
         for k in range(2, 7):
-            columns, col_pos, _ = layers.columns(k)
+            columns, _ = layer_columns(layers, k)
+            col_pos = {m: i for i, m in enumerate(columns)}
             # the oracle rows are mu * g from the generators themselves,
             # not the layer's cleared rows
             rows = [{col_pos[mono_mul(mu, m)]: F.as_fraction(c)
                      for m, c in gens[gi].terms.items()}
-                    for gi, mu, _ in layers.rows(k)]
+                    for gi, mu, _ in layer_rows(layers, k)]
             assert layers.eliminate(k)[0].rank == dense_rank(rows,
                                                              len(columns))
 
@@ -107,22 +108,30 @@ def _random_homogeneous_systems(seed, count, field=F):
         yield gens, ring_vars(gens)
 
 
+def _prefix_layers(field, gens, varkeys):
+    """MacaulayLayers of gens[:i] for i = 1..len(gens), indexed by i: a
+    prefix has the same columns and the same rows as the first blocks
+    of the full layer."""
+    return {i: MacaulayLayers(field, gens[:i], varkeys)
+            for i in range(1, len(gens) + 1)}
+
+
 def test_running_modp_ranks_give_every_prefix_rank():
     # the running rank at the last row of generator i is the mod-p rank of
     # gens[:i] fed alone, and for these small integer systems its exact rank
     for gens, varkeys in _random_homogeneous_systems(41, 12):
         layers = MacaulayLayers(F, gens, varkeys)
+        prefixes = _prefix_layers(F, gens, varkeys)
         for k in range(5):
             ncols = monomial_count(len(varkeys), k)
-            running = modp_rank((row for _, _, row in layers.rows(k)), ncols)
+            running = modp_rank(layers.rows(k), ncols)
             assert len(running) == layers.nrows(k)
             for i in range(1, len(gens) + 1):
                 nr = layers.nrows(k, i)
                 at_boundary = running[nr - 1] if nr else 0
-                alone = modp_rank((row for _, _, row in layers.rows(k, i)),
-                                  ncols)
+                alone = modp_rank(prefixes[i].rows(k), ncols)
                 assert at_boundary == (alone[-1] if nr else 0)
-                assert at_boundary == layers.eliminate(k, i)[0].rank
+                assert at_boundary == prefixes[i].eliminate(k)[0].rank
 
 
 @pytest.mark.parametrize("label", ["Qi", "Q(a;)"])
@@ -133,6 +142,7 @@ def test_exact_running_ranks_give_every_prefix_rank(label):
     field = field_from_label(label)
     for gens, varkeys in _random_homogeneous_systems(47, 8, field):
         layers = MacaulayLayers(field, gens, varkeys)
+        prefixes = _prefix_layers(field, gens, varkeys)
         v, cutoff = len(varkeys), 4
         rep = check_regular_sequence(gens, varkeys, cutoff)
         for k in range(cutoff + 1):
@@ -140,7 +150,7 @@ def test_exact_running_ranks_give_every_prefix_rank(label):
             assert len(running) == layers.nrows(k)
             for i in range(1, len(gens) + 1):
                 nr = layers.nrows(k, i)
-                rank = layers.eliminate(k, i)[0].rank
+                rank = prefixes[i].eliminate(k)[0].rank
                 assert (running[nr - 1] if nr else 0) == rank
                 assert rep.hf_values[i][k] == monomial_count(v, k) - rank
 
@@ -154,7 +164,8 @@ def _sum_system_layers():
 
 @pytest.mark.parametrize("label", ["Q", "Qi", "Q(a;)"])
 def test_block_order_keeps_every_prefix_rank(label):
-    # rows() feeds each generator's block by descending leading column;
+    # rows() feeds each generator's block by descending multiplier,
+    # which on these layers (no last block) is descending leading column;
     # at each generator's last row its running ranks equal those of the
     # rows in generator and multiplier order: mod p over Q, and exact
     # (MacaulayLayers.ranks) over every field
@@ -175,8 +186,7 @@ def test_block_order_keeps_every_prefix_rank(label):
             exact = layers.ranks(k)
             if label == "Q":
                 old_modp = modp_rank(old, ncols)
-                block = modp_rank((row for _, _, row in layers.rows(k)),
-                                  ncols)
+                block = modp_rank(layers.rows(k), ncols)
             for i in range(1, len(layers.degs) + 1):
                 nr = layers.nrows(k, i)
                 if not nr:
@@ -204,12 +214,12 @@ def test_nonregular_pair_fails_first_at_generator_2_degree_3():
 def test_regular_sequence_matches_exact_prefix_ranks():
     # verdicts and HF values against every prefix eliminated exactly
     for gens, varkeys in _random_homogeneous_systems(43, 12):
-        layers = MacaulayLayers(F, gens, varkeys)
+        prefixes = _prefix_layers(F, gens, varkeys)
         v, cutoff = len(varkeys), 4
         rank = {(0, k): 0 for k in range(cutoff + 1)}
         for i in range(1, len(gens) + 1):
             for k in range(cutoff + 1):
-                rank[i, k] = layers.eliminate(k, i)[0].rank
+                rank[i, k] = prefixes[i].eliminate(k)[0].rank
         rep = check_regular_sequence(gens, varkeys, cutoff)
         for p in rep.prefixes:
             i, d = p.index, p.degree

@@ -23,11 +23,11 @@ from dalg.eliminate import (Annihilator, AnnihilatorSearch, composition_system,
                             eliminate_search, rational_system,
                             sum_product_system)
 from dalg.hilbert import check_dregular
-from dalg.linalg import SparseEliminator
+from dalg.linalg import SparseEliminator, mono_code
 from dalg.series import _embed
 from dalg.system import SystemSpec
 
-from oracles import rand_poly
+from oracles import layer_columns, layer_rows, rand_poly
 
 Q = get_field("Q")
 # name: (field label, scalars, reversed); generator j of the lifted
@@ -137,11 +137,13 @@ def test_lift_keeps_the_hilbert_profile(name, system, rho):
 
 def _fed(layers, k, rows):
     """A tracked eliminator of (gi, mu, row) triples fed in list order,
-    and their labels."""
-    elim = SparseEliminator(len(layers.columns(k)[0]), layers.field, True)
+    and their labels, (gi, code of mu)."""
+    elim = SparseEliminator(len(layer_columns(layers, k)[0]), layers.field,
+                            True)
     for tag, (_, _, row) in enumerate(rows):
         elim.add_row(row, tag)
-    return elim, [(gi, mu) for gi, mu, _ in rows]
+    shifts = layers.layer(k)[3]
+    return elim, [(gi, mono_code(mu, shifts)) for gi, mu, _ in rows]
 
 
 def _outcome_at(res):
@@ -167,7 +169,7 @@ def test_feed_order_keeps_pivots_and_annihilator(name, system, r, k_max):
     search = AnnihilatorSearch(system, system.target, r)
     layers = search.layers
     for k in range(1, k_max + 1):
-        rows = list(layers.rows(k))
+        rows = layer_rows(layers, k)
         shuffled = rng.sample(rows, len(rows))
         elims = [_fed(layers, k, rows), layers.eliminate(k, track=True),
                  _fed(layers, k, shuffled)]

@@ -11,16 +11,17 @@ from math import gcd
 import pytest
 
 from dalg import JetVar, field_from_label, get_field, parse_poly, parse_system
-from dalg.eliminate import find_annihilator
+from dalg.eliminate import AnnihilatorSearch, find_annihilator
 from dalg.errors import BudgetExceededError, DalgError
 from dalg.dpoly import mono_mul
 from dalg.fields import (clear_denominators, primitive_divisor,
                          ring_cofactors, ring_of)
 from dalg.hilbert import check_dregular, hf
 from dalg.linalg import (MOD_P, SparseEliminator, budget_limit, check_budget,
-                         code_shifts, modp_rank, mono_code, monomial_count)
+                         code_shifts, degree_codes, modp_rank, mono_code,
+                         monomial_count)
 
-from oracles import degree_monomials, dense_rank, rand_coeff
+from oracles import degree_monomials, dense_rank, rand_coeff, trail_of
 
 
 def _random_rows(rng, nrows, ncols, density=0.4, frac=False):
@@ -137,7 +138,7 @@ def test_trail_replays_each_reduced_row(label, size):
         assert elim.rank == dense_rank(rows, ncols, zero)
         dependent += len(rows) - elim.rank
         for i, stored in enumerate(elim.rows):
-            trail = elim.trail_of(i)
+            trail = trail_of(elim, i)
             assert trail == _trail_in_field(elim, i)
             replay = {}
             for tag, coeff in trail.items():
@@ -231,6 +232,17 @@ def test_budget_bounds_every_layer_path(layer):
         layer()
 
 
+def test_budget_is_checked_again_on_a_kept_layer():
+    # a layer keeps its codes, not its budget check: read again under a
+    # smaller budget, every reader of the kept layer is refused
+    layers = AnnihilatorSearch(parse_system(_PROD_SYS), "z", 1).layers
+    layers.eliminate(2)
+    with budget_limit(10):
+        for read in (layers.eliminate, layers.rows, layers.ranks):
+            with pytest.raises(BudgetExceededError):
+                read(2)
+
+
 def test_budget_env_override(monkeypatch):
     from dalg.linalg import current_budget
     monkeypatch.delenv("DALG_BUDGET", raising=False)
@@ -310,6 +322,22 @@ def test_code_of_a_product_is_the_sum_of_codes():
                 m2 = monomial(keys[:v], rng.randint(0, k - d1))
                 assert (mono_code(m1, shifts) + mono_code(m2, shifts)
                         == mono_code(mono_mul(m1, m2), shifts))
+
+
+@pytest.mark.parametrize("v", range(1, 8))
+def test_degree_codes_are_the_sorted_codes_of_each_degree(v):
+    # k = 0..9 packs exponents in fields 0 to 4 bits wide; every degree
+    # e <= k of the table is strictly ascending and lists the codes of
+    # the oracle's degree-e monomials
+    keys = list(range(v))
+    for k in range(10):
+        shifts = code_shifts(keys, k)
+        table = degree_codes(v, k.bit_length(), k)
+        assert len(table) == k + 1
+        for e, codes in enumerate(table):
+            assert all(a < b for a, b in zip(codes, codes[1:])), (k, e)
+            assert codes == sorted(mono_code(m, shifts)
+                                   for m in degree_monomials(keys, e)), (k, e)
 
 
 @pytest.mark.parametrize("label", ["Q", "Qi", "Qi(c;)", "Q(a;x)"],
