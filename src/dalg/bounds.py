@@ -260,10 +260,15 @@ def _sample_poly(rng, n, d):
 
 
 def _relation_exists(polys, n, d, k):
-    """Nonzero F of total degree <= k with F(p_0..p_n) = 0?"""
+    """Nonzero F of total degree <= k with F(p_0..p_n) = 0?
+
+    The matrix has one row per monomial of degree <= k in n+1 variables
+    and one column per monomial of degree <= k*d in n; its size is
+    checked against the work budget before it is built."""
+    from .linalg import SparseEliminator, check_budget
+    check_budget(comb(n + 1 + k, n + 1), comb(n + k * d, n))
     cols = {m: i for i, m in enumerate(_monomials_upto(n, k * d))}
     wmonos = sorted(_monomials_upto(n + 1, k), key=lambda m: (sum(m), m))
-    from .linalg import SparseEliminator
     products = {}
     nrows = 0
     elim = SparseEliminator(len(cols))

@@ -28,6 +28,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import BudgetExceededError, DalgError, HypothesisError
 
@@ -398,16 +399,13 @@ def cmd_checkdreg(fmt, args):
 def cmd_verify(fmt, args):
     from .fields import field_from_label
     from .grammar import parse_poly
-    from .series import apply_dpoly
+    from .series import verify_annihilator
     field = field_from_label(args.field)
     p = parse_poly(args.poly, field)
     wit = _parse_witnesses(args.witness, args.trunc, _point(args.point))
     if not wit:
         raise DalgError("verify needs at least one --witness label=name")
-    residual = apply_dpoly(p, wit)
-    payload = {"certified": residual.is_zero_to_truncation(),
-               "residual_valuation": residual.valuation(),
-               "truncation": residual.N}
+    payload = verify_annihilator(SimpleNamespace(poly=p), wit)
     text = (f"certified={payload['certified']} "
             f"residual_valuation={payload['residual_valuation']} "
             f"truncation={payload['truncation']}\n")

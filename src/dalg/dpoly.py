@@ -230,11 +230,6 @@ class DPoly:
                     best = max(best, e)
         return best
 
-    def leading_monomial(self):
-        if not self.terms:
-            raise DalgError("zero polynomial has no leading monomial")
-        return max(self.terms, key=mono_sort_key)
-
     def constant_coeff(self):
         return self.terms.get((), self.field.zero)
 

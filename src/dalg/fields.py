@@ -159,43 +159,6 @@ class Field:
     def is_zero(self, c):
         return c == self.zero
 
-    def _ground_const(self, poly):
-        """Base-domain value of a constant polynomial, else None."""
-        terms = list(poly.terms())
-        if not terms:
-            return self.base.zero
-        if len(terms) > 1:
-            return None
-        mon, coef = terms[0]
-        return None if any(mon) else coef
-
-    def is_rational(self, c):
-        if not self._names:
-            return not self.gaussian or c.y == 0
-        den = self._ground_const(c.denom)
-        if den is None or not den:
-            return False
-        num = self._ground_const(c.numer)
-        if num is None:
-            return False
-        return not self.gaussian or (num / den).y == 0
-
-    def as_fraction(self, c):
-        """Exact Fraction value of a rational coefficient."""
-        if self._names:
-            den = self._ground_const(c.denom)
-            num = self._ground_const(c.numer)
-            if den is None or not den or num is None:
-                raise FieldError("coefficient is not rational")
-            coef = num / den
-        else:
-            coef = c
-        if self.gaussian:
-            if coef.y != 0:
-                raise FieldError("coefficient is not rational")
-            coef = coef.x
-        return Fraction(int(coef.numerator), int(coef.denominator))
-
     # -- calculus -----------------------------------------------------
 
     def derive_x(self, c):
@@ -235,27 +198,6 @@ class Field:
             rest = (0,) + mon[1:]
             buckets[mon[0]] += ring.from_terms([(rest, coef)])
         return [self.domain.field.new(b, c.denom) for b in buckets]
-
-    def eval_x(self, c, point):
-        """Substitute a rational value for x; the result stays in the field."""
-        if not self.desc.has_x:
-            return c
-        ring = self.domain.field.ring
-        pt = Fraction(point)
-        val = self.base.convert(self._qq(pt.numerator, pt.denominator),
-                                self._qq)
-
-        def subst(poly):
-            out = ring.zero
-            for mon, coef in poly.terms():
-                rest = (0,) + mon[1:]
-                out += ring.from_terms([(rest, coef * val ** mon[0])])
-            return out
-
-        den = subst(c.denom)
-        if not den:
-            raise HypothesisError("denominator vanishes at the expansion point")
-        return self.domain.field.new(subst(c.numer), den)
 
     # -- printing -------------------------------------------------------
 

@@ -34,7 +34,10 @@ from .system import prolong
 
 
 def _as_keys(vars_):
-    return tuple(sorted(var_key(v) for v in vars_))
+    varkeys = tuple(sorted(var_key(v) for v in vars_))
+    if not varkeys:
+        raise DalgError("need at least one variable")
+    return varkeys
 
 
 def _validate_gens(gens, varkeys):

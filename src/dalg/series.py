@@ -11,21 +11,24 @@ Differential polynomials are evaluated in the ring R = ring_of(field)[0]
 of the coefficient field (ints over Q, Gaussian integers over Q(i),
 polynomials in the parameters and x otherwise): jets and coefficients
 are numerators in R over one common denominator, so no sum or product
-takes a gcd of fractions.  verify_annihilator tests a residual by its
-numerators alone; apply_dpoly divides once at the end.  The series
-solver, solve_ode_series, evaluates the equation A*y^(r) + B = 0
-online, in the same ring: the step that fixes coefficient r + t of the
-solution computes coefficient t of every jet power and product in the
-equation, one convolution sum each, and one division in the field.
-newton_algebraic_series has no solver of its own; it returns the ODE
-solver's series for the derivative of its algebraic equation.
+takes a gcd of fractions.  One evaluator, _Online, does all of it
+online: its step t computes coefficient t of every jet power and
+partial product of the polynomial, one convolution sum each.
+verify_annihilator reads the residual's numerators from it in order and
+stops at the first nonzero one; apply_dpoly takes them all and divides
+once at the end.  The series solver, solve_ode_series, evaluates the
+equation A*y^(r) + B = 0 with y^(r) held out: each step returns the
+rest of coefficient t and A_0, and one division in the field fixes
+coefficient r + t of the solution.  newton_algebraic_series has no
+solver of its own; it returns the ODE solver's series for the
+derivative of its algebraic equation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .dpoly import DPoly, JetVar
 from .errors import DalgError, HypothesisError
@@ -49,9 +52,7 @@ def _embed(c, src: Field, dst: Field):
 
 
 # ---------------------------------------------------------------------------
-# coefficient-list kernels (length = N+1).  _ladd, _lneg, _lmul and
-# _lderive work over any ring, so they serve the field lists of SeriesQ
-# and the numerator lists of an evaluation alike; the others divide.
+# coefficient-list kernels of SeriesQ arithmetic (length = N+1)
 
 def _ladd(a, b):
     return [u + v for u, v in zip(a, b)]
@@ -301,17 +302,18 @@ def series_arith(op, a, b=None):
 # evaluating differential polynomials on series
 
 def _x_series(field, R, c, point, n):
-    """Coefficient c, which may involve x, as a t-list with x = point + t.
+    """Coefficient c, which may involve x, as a t-list with x = point + t,
+    of length min(d + 1, n) for c of degree d in x.
 
-    Returns (numerators, denominator) in R.  c = sum_e c_e * x^e of degree
-    d, with the c_e over one denominator; with point = a/b the powers of
-    b are cleared into it too: b^d * x^e = sum_j C(e, j) * a^(e-j) *
+    Returns (numerators, denominator) in R.  c = sum_e c_e * x^e, with
+    the c_e over one denominator; with point = a/b the powers of b are
+    cleared into it too: b^d * x^e = sum_j C(e, j) * a^(e-j) *
     b^(d-e+j) * t^j.
     """
     nums, den = common_denominator(R, field.domain, field.as_x_poly(c))
     d = len(nums) - 1
     a, b = point.numerator, point.denominator
-    out = [R.zero] * n
+    out = [R.zero] * min(d + 1, n)
     for e, ce in enumerate(nums):
         if not ce:
             continue
@@ -321,10 +323,9 @@ def _x_series(field, R, c, point, n):
 
 
 def _coefficients(P: DPoly, point, n):
-    """P's terms for _eval_terms: (terms, den) with one entry (t-list,
-    monomial, jet degree) per term, the t-lists (_x_series) truncated to
-    length n and scaled to numerators in R over their common
-    denominator den."""
+    """P's terms for _Online: (terms, den) with one entry (t-list,
+    monomial, jet degree) per term, the t-lists (_x_series, at most n
+    long) scaled to numerators in R over their common denominator den."""
     field = P.field
     R = ring_of(field)[0]
     terms = []
@@ -341,42 +342,127 @@ def _coefficients(P: DPoly, point, n):
             for cnums, cden, m in terms], den
 
 
-def _eval_terms(R, coefficients, jets, den, n):
-    """A polynomial evaluated on jets held as numerators over one
-    denominator.
+class _Online:
+    """P evaluated online on series, in the ring R of its field.
 
-    coefficients is _coefficients of the polynomial, with t-lists at
-    least n long.  jets maps (fam, idx) to the t-lists of its jets, index
-    = derivative order, with entries numerators in R over the common
-    denominator den.  Returns (numerators, denominator) in R of the value
-    truncated to length n.  Each jet power is computed once and shared by
-    every monomial, and a term of jet degree e is scaled by
-    den^(top - e), top the largest degree, so that every term has the
-    same denominator.
+    push(fam, num, den) appends the next coefficient of a family's
+    series, f_i = num/den, and with it coefficient i - o of each of its
+    jets f^(o), (f^(o))_(i-o) = i!/(i-o)! * f_i.  step(t) computes
+    coefficient t of every jet power and of every partial product of a
+    term of P, one convolution sum each over coefficients computed
+    before, and returns coefficient t of P.  Every list holds numerators
+    over the common denominator D of the coefficients pushed so far (a
+    list of jet degree e over D^e, a term's coefficients over their own
+    denominator cden too); when a push widens D they are rescaled.
+
+    One jet, held = (fam, idx, order), may be held out of the terms, with
+    exponent at most 1: step(t) then counts its coefficient t, not yet
+    pushed, as 0 and also returns the factor that multiplies it.
     """
-    terms, cden = coefficients
-    zero = R.zero
-    top = max((deg for *_, deg in terms), default=0)
-    den_powers = [R.one]
-    for _ in range(top):
-        den_powers.append(den_powers[-1] * den)
 
-    powers = {}
+    def __init__(self, P: DPoly, point, n, held=None):
+        self.R = ring_of(P.field)[0]
+        terms, self.cden = _coefficients(P, point, n)
+        self.jets = {fam: [[] for _ in range(top + 1)]
+                     for fam, top in P.orders().items()}
+        self.kept = [(js, 1) for jet in self.jets.values() for js in jet]
+        self.products = []  # (a, b, out): out[t] is coefficient t of a*b
+        self.powers = {}
+        self.degree = max((deg for *_, deg in terms), default=0)
+        self.plan = []      # (power of D, constant, list, takes held)
+        for cnums, m, deg in terms:
+            part, e_part, with_held = None, 0, False
+            for v, e in m:
+                if v == held:
+                    with_held = True
+                    continue
+                power = self._power(v, e)
+                e_part += e
+                part = power if part is None else self._product(
+                    part, power, e_part)
+            # an x-free coefficient is one constant: it scales the term
+            c = self.R.one
+            if part is None:
+                part = cnums
+            elif len(cnums) == 1:
+                c = cnums[0]
+            else:
+                part = self._product(cnums, part, e_part)
+            self.plan.append((self.degree - deg, c, part, with_held))
+        self.held = self.jets[held[:2]][held[2]] if held else None
+        self.D, self.scale = self.R.one, None
 
-    def power(v, e):
-        ladder = powers.setdefault(v, [None, jets[v[:2]][v[2]]])
-        while len(ladder) <= e:
-            ladder.append(_lmul(ladder[-1], ladder[1], n, zero))
-        return ladder[e]
+    def _product(self, a, b, e):
+        """A new list for a*b, whose entries are over D^e."""
+        out = []
+        self.products.append((a, b, out))
+        self.kept.append((out, e))
+        return out
 
-    acc = [zero] * n
-    for cnums, m, deg in terms:
-        scale = den_powers[top - deg]
-        term = [v * scale for v in cnums[:n]]
-        for v, e in m:
-            term = _lmul(term, power(v, e), n, zero)
-        acc = _ladd(acc, term)
-    return acc, cden * den_powers[top]
+    def _power(self, v, e):
+        """The list of (f^(o))^e for v = (fam, idx, o)."""
+        powers = self.powers
+        powers.setdefault((v, 1), self.jets[v[:2]][v[2]])
+        for d in range(2, e + 1):
+            if (v, d) not in powers:
+                powers[(v, d)] = self._product(powers[(v, d - 1)],
+                                               powers[(v, 1)], d)
+        return powers[(v, e)]
+
+    def push(self, fam, num, den):
+        """Append the coefficient num/den to fam's series, widening D."""
+        R = self.R
+        one = R.one
+        if den != one and den != self.D:
+            wide = R.lcm(self.D, den)
+            u = wide // self.D
+            if u != one:
+                us = [one, u]
+                for values, e in self.kept:
+                    while len(us) <= e:
+                        us.append(us[-1] * u)
+                    values[:] = [v * us[e] for v in values]
+                self.D, self.scale = wide, None
+        jet = self.jets[fam]
+        num, i = num * (self.D // den), len(jet[0])
+        for o, js in enumerate(jet[:i + 1]):
+            js.append(num * perm(i, o))
+
+    def step(self, t):
+        """(acc, a0): coefficient t of P, with the held jet's coefficient t
+        counted as 0, and the factor a0 of that coefficient in it (A_0
+        for P = A*f^(r) + B), both numerators over cden * D^degree."""
+        R = self.R
+        zero = R.zero
+        for a, b, out in self.products:
+            out.append(_product_coefficient(a, b, t, zero))
+        if self.scale is None:
+            powers = [R.one]
+            for _ in range(self.degree):
+                powers.append(powers[-1] * self.D)
+            self.scale = [c * powers[e] for e, c, *_ in self.plan]
+        acc = a0 = zero
+        for (_, _, part, with_held), s in zip(self.plan, self.scale):
+            if with_held:
+                v = _product_coefficient(part, self.held, t, zero)
+                if part[0]:
+                    a0 += part[0] * s
+            else:
+                v = part[t] if t < len(part) else zero
+            if v:
+                acc += v * s
+        return acc, a0
+
+
+def _product_coefficient(a, b, t, zero):
+    """Coefficient t of the product of the series with coefficient lists
+    a and b; entries a list does not have count as 0."""
+    acc = zero
+    for i in range(max(0, t + 1 - len(b)), min(t + 1, len(a))):
+        u, v = a[i], b[t - i]
+        if u and v:
+            acc += u * v
+    return acc
 
 
 def _to_field(field, nums, den):
@@ -389,28 +475,11 @@ def _to_field(field, nums, den):
     return [v / d if v else v for v in vals]
 
 
-def _jets(field, series):
-    """(jets, den) of field lists, as numerators in the ring over one
-    common denominator den.  series maps (fam, idx) to (coefficients, r):
-    jets[(fam, idx)] holds the coefficients and their first r
-    derivatives."""
-    R, F = ring_of(field)
-    nums, den = common_denominator(
-        R, F, [c for cs, _ in series.values() for c in cs])
-    jets, pos = {}, 0
-    for fam, (cs, r) in series.items():
-        ladder = [nums[pos:pos + len(cs)]]
-        pos += len(cs)
-        for _ in range(r):
-            ladder.append(_lderive(ladder[-1]))
-        jets[fam] = ladder
-    return jets, den
-
-
 def _residual(P: DPoly, witnesses):
     """(point, numerators, denominator, truncation N) of P evaluated on
     series witnesses; numerators and denominator lie in the ring of
-    P's field, and only numerators 0..N are trustworthy."""
+    P's field, and only numerators 0..N are trustworthy.  The numerators
+    are an iterator that computes each one when it is asked for."""
     field = P.field
     wit = {}
     for k, s in witnesses.items():
@@ -432,14 +501,20 @@ def _residual(P: DPoly, witnesses):
         s = wit[fam]
         coeffs = ([_embed(c, s.field, field) for c in s.coeffs]
                   if s.field.desc != field.desc else s.coeffs)
-        series[fam] = (coeffs[:n_eff + top + 1], top)
+        series[fam] = coeffs[:n_eff + top + 1]
     if n_eff < 0:
         raise DalgError("witness truncation too small for the derivatives "
                         "required")
-    coefficients = _coefficients(P, point, n_eff + 1)
-    vals, vden = _eval_terms(ring_of(field)[0], coefficients,
-                             *_jets(field, series), n_eff + 1)
-    return point, vals, vden, n_eff
+    ev = _Online(P, point, n_eff + 1)
+    R, F = ring_of(field)
+    nums, den = common_denominator(
+        R, F, [c for cs in series.values() for c in cs])
+    nums = iter(nums)
+    for fam, cs in series.items():
+        for _ in cs:
+            ev.push(fam, next(nums), den)
+    return (point, (ev.step(t)[0] for t in range(n_eff + 1)),
+            ev.cden * ev.D ** ev.degree, n_eff)
 
 
 def apply_dpoly(P: DPoly, witnesses) -> SeriesQ:
@@ -450,7 +525,7 @@ def apply_dpoly(P: DPoly, witnesses) -> SeriesQ:
     The value is computed in the ring and divided once at the end.
     """
     point, nums, den, n = _residual(P, witnesses)
-    return SeriesQ(P.field, point, _to_field(P.field, nums, den), n)
+    return SeriesQ(P.field, point, _to_field(P.field, list(nums), den), n)
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +550,11 @@ def _solve_ode(P, initial, N, point):
     P = A*f^(r) + B, where A and B take jets below order r only.  With
     q_t = (r+t)!/t! * f_(r+t) the coefficients of f^(r), coefficient t
     of P(f) is B_t + sum_(i<=t) A_(t-i) q_i, so P(f)_t = 0 fixes q_t =
-    -(B_t + sum_(i<t) A_(t-i) q_i) / A_0.  Step t computes coefficient t
-    of every jet below order r, of every jet power and of every partial
-    product of a term of P (all their factors are known by then), and
-    for a term with f^(r) the sum over i < t against the q_i: one
-    convolution sum each, O(t) ring products in all.  Every stored
-    coefficient is that of the true series.  The lists are numerators
-    over the common denominator D of the coefficients fixed so far (a
-    list of jet degree e over D^e, a term's coefficients over their own
-    denominator too), and when a new coefficient widens D they are
-    rescaled.  Each coefficient is reduced by one gcd in R and divided
-    once into the field.
+    -(B_t + sum_(i<t) A_(t-i) q_i) / A_0.  _Online evaluates P with
+    f^(r) held out: its step t returns that sum and A_0, both over
+    cden * D^degree, and q_t is over D, so f_(r+t) = q_t * t!/(r+t)! =
+    -acc * t! / (A_0 * D * (r+t)!).  Each coefficient is reduced by one
+    gcd in R and divided once into the field.
     """
     field = P.field
     fams = set(P.orders())
@@ -495,119 +564,36 @@ def _solve_ode(P, initial, N, point):
     r = P.orders()[fam]
     if len(initial) != r:
         raise DalgError(f"need exactly r = {r} initial jets, got {len(initial)}")
-    top = JetVar(fam[0], fam[1], r)
-    by_deg = P.as_poly_in(top)
-    if max(by_deg) != 1:
+    if max(P.as_poly_in(JetVar(fam[0], fam[1], r))) != 1:
         raise HypothesisError(
             "the equation is not linear in its highest derivative")
+    if N < 0:
+        raise DalgError("truncation order must be >= 0")
     point = Fraction(point)
     init = [c if _is_elem(field, c) else field.from_fraction(Fraction(c))
             for c in initial]
-
-    n = N + 1
-    f = [field.zero] * n
-    for j, c in enumerate(init):
-        if j < n:
-            f[j] = c / field.q(factorial(j))
+    f = [c / field.q(factorial(j)) for j, c in enumerate(init)]
 
     R, F = ring_of(field)
-    nums, a0_den = _eval_terms(R, _coefficients(by_deg[1], point, 1),
-                               *_jets(field, {fam: (f[:r], r - 1)}), 1)
-    a0 = nums[0]        # A_0 = a0 / a0_den
-    if not a0:
-        raise HypothesisError(
-            "leading coefficient vanishes on the initial jets; the series "
-            "is not determined")
-    terms, cden = _coefficients(P, point, n)
-    one, zero = R.one, R.zero
-    fn, jet = [], [[] for _ in range(r + 1)]    # f and its jets, over D
-    kept = [(fn, 1)] + [(js, 1) for js in jet]  # (list, its power of D)
-    products = []       # (a, b, out): out[t] is coefficient t of a*b
-    powers = {(o, 1): js for o, js in enumerate(jet)}
-
-    def power(o, e):
-        """The list of (f^(o))^e.  A loop, not recursion: a closure that
-        calls itself is a reference cycle, which would keep every list
-        of the call until the next garbage collection."""
-        for d in range(2, e + 1):
-            if (o, d) not in powers:
-                powers[(o, d)] = out = []
-                products.append((powers[(o, d - 1)], jet[o], out))
-                kept.append((out, d))
-        return powers[(o, e)]
-
-    degree = max(deg for *_, deg in terms)
-    plan = []   # (power of D that scales it, partial product, times q)
-    for cnums, m, deg in terms:
-        part, e_part, with_q = cnums, 0, False
-        for v, e in m:
-            if v[2] == r:
-                with_q = True
-                continue
-            out = []
-            products.append((part, power(v[2], e), out))
-            e_part += e
-            kept.append((out, e_part))
-            part = out
-        plan.append((degree - deg, part, with_q))
-
-    D, scale = one, None
-
-    def push(num, den):
-        """Append the coefficient num/den of f to fn, widening D."""
-        nonlocal D, scale
-        if den != one and den != D:
-            wide = R.lcm(D, den)
-            u = wide // D
-            if u != one:
-                us = [one, u]
-                for values, e in kept:
-                    while len(us) <= e:
-                        us.append(us[-1] * u)
-                    values[:] = [v * us[e] for v in values]
-                D, scale = wide, None
-        fn.append(num * (D // den))
-
-    K = R.get_field()
-    for c in f[:r]:
-        c = K.convert_from(c, F)
-        push(K.numer(c), K.denom(c))
-    for t in range(n - r):
-        for o in range(r):
-            jet[o].append(fn[t + o] * (factorial(t + o) // factorial(t)))
-        for a, b, out in products:
-            out.append(_product_coefficient(a, b, t, zero))
-        if scale is None:
-            scale = [one]
-            for _ in range(degree):
-                scale.append(scale[-1] * D)
-        acc = zero
-        for e, part, with_q in plan:
-            v = (_product_coefficient(part, jet[r], t, zero) if with_q
-                 else part[t])
-            if v:
-                acc += v * scale[e]
-        # acc / (cden * D^degree) is P(f)_t with q_t = 0, so f_(r+t) =
-        # q_t * t!/(r+t)! = -acc / (cden * D^degree * A_0) * t!/(r+t)!
-        num = -acc * a0_den * factorial(t)
-        den = cden * scale[degree] * a0 * factorial(r + t)
+    ev = _Online(P, point, N + 1, held=(fam[0], fam[1], r))
+    nums, den = common_denominator(R, F, f)
+    for v in nums:
+        ev.push(fam, v, den)
+    for t in range(max(N + 1 - r, 1)):
+        acc, a0 = ev.step(t)
+        if not a0:
+            raise HypothesisError(
+                "leading coefficient vanishes on the initial jets; the "
+                "series is not determined")
+        if r + t > N:
+            break
+        num = -acc * factorial(t)
+        den = a0 * ev.D * factorial(r + t)
         g = R.gcd(num, den)
         num, den = num // g, den // g
-        f[r + t] = _to_field(field, [num], den)[0]
-        push(num, den)
-        jet[r].append(fn[r + t] * (factorial(r + t) // factorial(t)))
+        f.append(_to_field(field, [num], den)[0])
+        ev.push(fam, num, den)
     return SeriesQ(field, point, f, N)
-
-
-def _product_coefficient(a, b, t, zero):
-    """Coefficient t of the product of the series with coefficient lists
-    a and b; entries b does not have yet count as 0."""
-    acc = zero
-    for i in range(max(0, t + 1 - len(b)), t + 1):
-        u, v = a[i], b[t - i]
-        if u and v:
-            acc += u * v
-    return acc
 
 
 def newton_algebraic_series(Qg: DPoly, y0, N, point=0) -> SeriesQ:
@@ -625,9 +611,9 @@ def newton_algebraic_series(Qg: DPoly, y0, N, point=0) -> SeriesQ:
         raise DalgError("Qg must be a polynomial in y1 alone (order 0)")
     y0 = y0 if _is_elem(field, y0) else field.from_fraction(Fraction(y0))
     start = {(1, 1): SeriesQ.constant(field, y0, 0, point)}
-    if _residual(Qg, start)[1][0]:
+    if next(_residual(Qg, start)[1]):
         raise HypothesisError("y0 is not a root of Qg at the expansion point")
-    if not _residual(Qg.partial(JetVar.y(1)), start)[1][0]:
+    if not next(_residual(Qg.partial(JetVar.y(1)), start)[1]):
         raise HypothesisError("y0 is not a simple root; Newton iteration "
                               "cannot start")
     return _solve_ode(Qg.derive(), [y0], N, point)
@@ -641,8 +627,9 @@ def verify_annihilator(ann, witnesses, N=None) -> dict:
 
     The residual is P evaluated on the witnesses; it is certified when
     every trustworthy residual coefficient vanishes.  Its numerators in
-    the ring are tested directly: the common denominator is nonzero, so
-    the valuation is theirs.  The annihilator's series_certified /
+    the ring are tested directly, in order, and the evaluation stops at
+    the first nonzero one: the common denominator is nonzero, so the
+    valuation is theirs.  The annihilator's series_certified /
     residual_valuation fields are updated in place.
     """
     wit = dict(witnesses)

@@ -14,7 +14,7 @@ from math import factorial
 import sympy
 
 from dalg import DPoly, JetVar
-from dalg.dpoly import mono_mul
+from dalg.dpoly import mono_mul, mono_sort_key
 
 
 def degree_monomials(varkeys, k):
@@ -205,7 +205,7 @@ def series_eval(P, witnesses, point=0):
     def taylor(c):
         out = []
         for j in range(n):
-            out.append(field.eval_x(c, point) * field.q(1, factorial(j)))
+            out.append(eval_x(field, c, point) * field.q(1, factorial(j)))
             c = field.derive_x(c)
         return out
 
@@ -247,3 +247,35 @@ def field_replay(search, k, elim, labels):
         piece = DPoly(field, {mu: field.one}) * search.h_gens[gi]
         combo = combo + piece * (coeff * layers.dens[gi])
     return combo == row
+
+
+# ---------------------------------------------------------------------------
+# reading elements and polynomials, through public methods only
+
+def as_fraction(field, c):
+    """Exact Fraction value of a rational field element, read from its
+    printed form; ValueError when c is not rational."""
+    return Fraction(field.to_str(c))
+
+
+def is_rational(field, c):
+    try:
+        as_fraction(field, c)
+    except ValueError:
+        return False
+    return True
+
+
+def eval_x(field, c, point):
+    """c with the rational point substituted for x, by Horner's rule on
+    as_x_poly; c's denominator must be free of x."""
+    val = field.from_fraction(Fraction(point))
+    out = field.zero
+    for ce in reversed(field.as_x_poly(c)):
+        out = out * val + ce
+    return out
+
+
+def leading_monomial(P):
+    """The largest monomial of P in the package's monomial order."""
+    return max(P.terms, key=mono_sort_key)

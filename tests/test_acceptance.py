@@ -22,7 +22,7 @@ from dalg.series import (SeriesQ, apply_dpoly, newton_algebraic_series,
                          series_arith, series_integrate, solve_ode_series,
                          verify_annihilator, witness)
 
-from oracles import DEFAULT_JETS, degree_monomials, rand_poly
+from oracles import DEFAULT_JETS, as_fraction, degree_monomials, rand_poly
 
 F = get_field("Q")
 FX = get_field("Q", has_x=True)
@@ -156,7 +156,7 @@ def test_criterion_07_regularity_does_not_imply_an_annihilator():
     assert rep.regular
     # witness 1/(2-x): the c = 2 member of the family, via y' = y^2
     w = solve_ode_series(parse_poly("y1' - y1^2", F), [Fraction(1, 2)], 12)
-    assert [w.field.as_fraction(w.coefficient(j)) for j in range(13)] == \
+    assert [as_fraction(w.field, w.coefficient(j)) for j in range(13)] == \
         [Fraction(1, 2 ** (j + 1)) for j in range(13)]
     p1, p2 = system.gens
     assert apply_dpoly(p1, {"y1": w}).is_zero_to_truncation()

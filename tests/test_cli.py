@@ -396,6 +396,15 @@ def test_experiment_json(capsys):
     assert obj["k_counting"] == 4 and obj["k_theorem_bound"] == 4
 
 
+def test_experiment_budget_exit3(capsys):
+    # the degree-1 product matrix (4 rows, 10 columns) is checked before
+    # it is built; without the check this run goes on for minutes
+    code, out, err = run(capsys, "experiment", "--n", "2", "--d", "3",
+                         "--seed", "3", "--budget", "1")
+    assert code == 3 and out == ""
+    assert err == "error: matrix of 4 x 10 = 40 entries exceeds budget 1\n"
+
+
 # ---------------------------------------------------------------------------
 # cross-cutting
 

@@ -16,7 +16,7 @@ from dalg.linalg import (MacaulayLayers, SparseEliminator, modp_rank,
                          monomial_count, ring_vars)
 from dalg.system import prolong
 
-from oracles import (DEFAULT_JETS, degree_monomials, dense_rank,
+from oracles import (DEFAULT_JETS, as_fraction, degree_monomials, dense_rank,
                      layer_columns, layer_rows, rand_poly)
 
 F = get_field("Q")
@@ -68,7 +68,7 @@ def test_macaulay_rank_matches_dense_oracle():
             col_pos = {m: i for i, m in enumerate(columns)}
             # the oracle rows are mu * g from the generators themselves,
             # not the layer's cleared rows
-            rows = [{col_pos[mono_mul(mu, m)]: F.as_fraction(c)
+            rows = [{col_pos[mono_mul(mu, m)]: as_fraction(F, c)
                      for m, c in gens[gi].terms.items()}
                     for gi, mu, _ in layer_rows(layers, k)]
             assert layers.eliminate(k)[0].rank == dense_rank(rows,
@@ -307,3 +307,12 @@ def test_hf_rejects_inhomogeneous_or_stray_vars():
         hf([parse_poly("y1^2 + y1", F)], [Y1], 2)
     with pytest.raises(DalgError):
         hf([parse_poly("y1*y2", F)], [Y1], 2)
+
+
+def test_empty_variable_list_is_a_dalg_error():
+    # no monomial count exists for a ring without variables
+    gens = [parse_poly("3", F)]
+    with pytest.raises(DalgError, match="at least one variable"):
+        hf(gens, [], 2)
+    with pytest.raises(DalgError, match="at least one variable"):
+        check_regular_sequence(gens, [], 2)

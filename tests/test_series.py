@@ -18,14 +18,15 @@ from dalg.series import (SeriesQ, apply_dpoly, newton_algebraic_series,
                          solve_ode_series, verify_annihilator, witness,
                          witness_names)
 
-from oracles import DEFAULT_JETS, rand_coeff, rand_poly, series_eval
+from oracles import (DEFAULT_JETS, as_fraction, is_rational, rand_coeff,
+                     rand_poly, series_eval)
 
 F = get_field("Q")
 FX = get_field("Q", has_x=True)
 
 
 def fr(s, j):
-    return s.field.as_fraction(s.coefficient(j))
+    return as_fraction(s.field, s.coefficient(j))
 
 
 def fr_list(s):
@@ -208,11 +209,25 @@ def test_solve_ode_hypothesis_errors():
         solve_ode_series(parse_poly("y1' - y2", F), [1], 6)
 
 
-def _random_linear_ode(rng, field, r):
+def test_solve_ode_short_truncation_reads_every_initial_jet():
+    # a truncation below r - 1 still needs every initial jet: the
+    # leading coefficient here is y1', and y1'(0) = 1
+    P = parse_poly("y1'*y1^(3) + y1", F)
+    assert fr_list(solve_ode_series(P, [1, 1, 0], 0)) == [1]
+    assert solve_ode_series(P, [1, 1, 0], 1) == \
+        solve_ode_series(P, [1, 1, 0], 6).truncate(1)
+    with pytest.raises(HypothesisError, match="leading coefficient"):
+        solve_ode_series(P, [1, 0, 0], 0)
+    with pytest.raises(DalgError, match="truncation order"):
+        solve_ode_series(P, [1, 1, 0], -1)
+
+
+def _random_linear_ode(rng, field, r, a_deg=1):
     """(A, B): random polynomials in the jets of y1 below order r (in x
-    alone for r = 0), for the equation A*y1^(r) + B.  A's coefficients
-    are free of the parameters, which keeps the series polynomial in them
-    and the oracle's field arithmetic small."""
+    alone for r = 0), for the equation A*y1^(r) + B.  A has jet degree at
+    most 1, or exactly 2 with a_deg = 2 (a product of two jets added).
+    A's coefficients are free of the parameters, which keeps the series
+    polynomial in them and the oracle's field arithmetic small."""
     jets = [JetVar.y(1, j) for j in range(r)]
     plain = get_field(field.desc.kind, (), field.desc.has_x)
     if not jets:
@@ -221,6 +236,9 @@ def _random_linear_ode(rng, field, r):
         B = DPoly.one(field).scale(rand_coeff(rng, field))
     else:
         A = rand_poly(rng, plain, jets, max_terms=2, max_deg=1)
+        if a_deg == 2:
+            A = A + (DPoly.var(plain, rng.choice(jets))
+                     * DPoly.var(plain, rng.choice(jets)))
         B = rand_poly(rng, field, jets, max_terms=3, max_deg=2)
     return parse_poly(str(A), field), B
 
@@ -234,9 +252,13 @@ def test_solve_ode_series_solves_random_linear_equations(label, r):
     field = field_from_label(label)
     rng = random.Random(f"{label}:{r}")
     top = DPoly.var(field, JetVar.y(1, r))
-    for point in (Fraction(0), Fraction(1, 2)):
+    # (point, jet degree of A); the solver reads A_0 off its own partial
+    # products, so one A of jet degree 2 takes a product of two of them
+    cases = [(Fraction(0), 1), (Fraction(1, 2), 1)] + (
+        [(Fraction(1, 2), 2)] if r else [])
+    for point, a_deg in cases:
         while True:
-            A, B = _random_linear_ode(rng, field, r)
+            A, B = _random_linear_ode(rng, field, r, a_deg)
             init = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                     for _ in range(r)]
             head = [field.from_fraction(v / factorial(j))
@@ -338,7 +360,7 @@ def test_parameter_cubic_residual_vanishes():
     Qg = parse_poly(f"y1^3 + a*x*y1^2 - 1 - a*x + {_W}", field)
     point = Fraction(1, 2)
     s = newton_algebraic_series(Qg, 1, 20, point=point)
-    assert s.coeffs[0] == field.one and not field.is_rational(s.coeffs[20])
+    assert s.coeffs[0] == field.one and not is_rational(field, s.coeffs[20])
     assert apply_dpoly(Qg, {"y1": s}).is_zero_to_truncation()
     head = newton_algebraic_series(Qg, 1, 12, point=point)
     assert head == s.truncate(12)
