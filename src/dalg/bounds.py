@@ -291,6 +291,9 @@ def relation_experiment(n, d, seed):
     among n+1 random dense degree-d polynomials in n variables."""
     if n > 3 or d > 4 or n < 1 or d < 1:
         raise DalgError("desk scale only: need 1 <= n <= 3 and 1 <= d <= 4")
+    if d == 1:
+        raise DalgError("need d >= 2: n+1 linear polynomials in n variables "
+                        "always satisfy a linear relation")
     k_thm = (n + 1) * (d ** n - 1)
     k_counting = 1
     while comb(n + 1 + k_counting, n + 1) <= comb(n + k_counting * d, n):

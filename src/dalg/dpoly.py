@@ -25,12 +25,12 @@ coefficient's own leading coefficient.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DalgError, FieldError
-from .fields import Field, clear_denominators, primitive_divisor, ring_of
+from .fields import (Field, _join_terms, clear_denominators, primitive_divisor,
+                     ring_of)
 
 _FAM_CODES = {"s": 0, "y": 1, "z": 2}
 _FAM_NAMES = {0: "s", 1: "y", 2: "z"}
@@ -117,23 +117,11 @@ def mono_quo(m2, m1):
     return tuple(sorted((k, e) for k, e in d.items() if e))
 
 
-def mono_cmp(m1, m2):
-    """Graded reverse lexicographic comparison; returns -1, 0 or 1."""
-    d1, d2 = mono_deg(m1), mono_deg(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    if m1 == m2:
-        return 0
-    d = dict(m1)
-    for k, e in m2:
-        d[k] = d.get(k, 0) - e
-    for k in sorted(d):
-        if d[k]:
-            return 1 if d[k] < 0 else -1
-    return 0
-
-
-mono_sort_key = functools.cmp_to_key(mono_cmp)
+def mono_sort_key(m):
+    """Sort key of graded reverse lexicographic order: by degree, then
+    the smaller exponent of the first (smallest) variable where two
+    monomials of equal degree differ ranks higher."""
+    return (mono_deg(m), tuple((k, -e) for k, e in m))
 
 
 def mono_str(m):
@@ -436,20 +424,14 @@ class DPoly:
     # -- printing -----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        terms = []
         for m in sorted(self.terms, key=mono_sort_key, reverse=True):
-            c = self.terms[m]
             ms = mono_str(m)
-            for sign, body in self.field.term_strings(c):
+            for sign, body in self.field.term_strings(self.terms[m]):
                 if ms != "1":
                     body = ms if body == "1" else f"{body}*{ms}"
-                if not parts:
-                    parts.append(("-" if sign < 0 else "") + body)
-                else:
-                    parts.append(("- " if sign < 0 else "+ ") + body)
-        return " ".join(parts)
+                terms.append((sign, body))
+        return _join_terms(terms)
 
     def __repr__(self):
         return f"DPoly({self})"

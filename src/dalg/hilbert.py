@@ -24,10 +24,10 @@ degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .dpoly import var_key
-from .errors import DalgError, WindowError
+from .errors import DalgError
+from .fields import plain_q
 from .linalg import (MacaulayLayers, check_budget, modp_rank, monomial_count,
                      ring_vars)
 from .system import prolong
@@ -138,7 +138,7 @@ def check_regular_sequence(gens, vars_, cutoff):
     first_fail = [None] * n
     for k in range(cutoff + 1):
         running = exact = None
-        if layers.int_mode and layers.nrows(k):
+        if plain_q(layers.field) and layers.nrows(k):
             running = modp_rank(layers.rows(k), monomial_count(v, k))
         for i in range(1, n + 1):
             d_i = layers.degs[i - 1]
@@ -169,7 +169,7 @@ def check_regular_sequence(gens, vars_, cutoff):
 
 
 # ---------------------------------------------------------------------------
-# profiles and dimension estimates
+# profiles and fitted degrees
 
 @dataclass
 class HilbertProfile:
@@ -187,72 +187,17 @@ class HilbertProfile:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class DimEstimate:
-    degree: int
-    coefficients: tuple
-    stable: bool | None
-
-    def evaluate(self, k):
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * k + c
-        return acc
-
-
-def hilbert_dim_estimate(profile, window):
-    """Fit the interpolating polynomial through HF values on the window.
-
-    Returns its degree and coefficients (ascending).  The fit is flagged
-    unstable when a profile value just outside the window disagrees; the
-    window must leave at least one vanishing top difference, otherwise
-    the degree cannot be certified.
-    """
-    window = list(window)
-    if len(window) < 2:
-        raise WindowError("window too short: need at least 2 degrees")
-    try:
-        vals = [Fraction(profile.values[k]) for k in window]
-    except KeyError as e:
-        raise WindowError(f"degree {e.args[0]} missing from profile")
-    if any(b - a != 1 for a, b in zip(window, window[1:])):
-        raise WindowError("window degrees must be consecutive")
-
-    diffs = [vals]
-    while len(diffs[-1]) > 1:
-        last = diffs[-1]
-        diffs.append([b - a for a, b in zip(last, last[1:])])
-    deg = 0
-    for m in range(len(diffs) - 1, -1, -1):
-        if any(x != 0 for x in diffs[m]):
+def _fitted_degree(values):
+    """Degree of the polynomial through the values at consecutive
+    degrees: the largest order of finite difference that is not all
+    zero, or None unless that order is below the top one,
+    len(values) - 1 (otherwise the values do not pin the degree down)."""
+    diffs, deg = values, 0
+    for m in range(len(diffs)):
+        if any(diffs):
             deg = m
-            break
-    if deg >= len(window) - 1:
-        raise WindowError(
-            f"window too short to certify degree {deg}: need length >= {deg + 2}")
-
-    # Newton forward form sum_j diff_j[0] * C(k - k0, j), expanded
-    k0 = window[0]
-    coeffs = [Fraction(0)] * (deg + 1)
-    basis = [Fraction(1)]
-    fact = 1
-    for j in range(deg + 1):
-        cj = diffs[j][0] / fact
-        for e, b in enumerate(basis):
-            coeffs[e] += cj * b
-        # multiply basis by (k - k0 - j) for the next iteration
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for e, b in enumerate(basis):
-            nxt[e + 1] += b
-            nxt[e] += b * (-(k0 + j))
-        basis = nxt
-        fact *= (j + 1)
-
-    est = DimEstimate(degree=deg, coefficients=tuple(coeffs), stable=None)
-    nxt_k = window[-1] + 1
-    if nxt_k in profile.values:
-        est.stable = est.evaluate(nxt_k) == profile.values[nxt_k]
-    return est
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return deg if deg < len(values) - 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +205,11 @@ def hilbert_dim_estimate(profile, window):
 
 @dataclass
 class DRegReport:
+    """fitted_degree is the degree of the polynomial through the last
+    (at most 5) Hilbert values up to the cutoff, or None when those
+    values do not pin it down (see _fitted_degree).  fit_stable is
+    always None: it would compare the fit with HF(cutoff + 1), which the
+    profile never holds."""
     regular: bool
     rho: int
     cutoff: int
@@ -294,17 +244,10 @@ def check_dregular(spec, rho, cutoff=None):
     profile = HilbertProfile(values=dict(values),
                              closed_form={k: closed[k] for k in range(cutoff + 1)},
                              verdicts=verdicts)
-    fitted = None
-    stable = None
-    lo = max(0, cutoff - 4)
-    try:
-        est = hilbert_dim_estimate(profile, range(lo, cutoff + 1))
-        fitted = est.degree
-        stable = est.stable
-    except WindowError:
-        pass
+    window = range(max(0, cutoff - 4), cutoff + 1)
     return DRegReport(regular=report.regular, rho=rho, cutoff=cutoff,
                       n_vars=v, n_gens=n,
                       expected_dimension=v - 1 - n,
-                      fitted_degree=fitted, fit_stable=stable,
+                      fitted_degree=_fitted_degree([values[k] for k in window]),
+                      fit_stable=None,
                       profile=profile, regseq=report)

@@ -368,7 +368,6 @@ class MacaulayLayers:
         self.varkeys = list(varkeys)
         self.last = last
         self.degs = [g.total_degree() for g in gens]
-        self.int_mode = plain_q(field)
         R, F = ring_of(field)
         self.terms, self.dens = [], []
         for g in gens:

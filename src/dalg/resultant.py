@@ -384,18 +384,13 @@ def elim_x(P: DPoly) -> Annihilator:
         raise DalgError("P is already free of x; nothing to eliminate")
     r = P.orders()[fam]
     d = P.total_degree()
-    Pp = P.derive()
-    if _x_degree(Pp) == 0:
-        out = Pp.normalize()
-        bounds = {"order": (out.orders().get(fam, 0), r + 1),
-                  "d": (out.total_degree(), 2 * dx * d)}
-        label = family_label(*fam)
-        return _as_annihilator(out, label, fam, bounds)
-    Q = _resultant_in_x(P, Pp)
-    if Q.is_zero():
-        raise HypothesisError(
-            "Res_x(P, P') vanished: P is not primitive and separable in "
-            "its top derivative; apply prepare_primitive_separable first")
+    Q = P.derive()
+    if _x_degree(Q) > 0:
+        Q = _resultant_in_x(P, Q)
+        if Q.is_zero():
+            raise HypothesisError(
+                "Res_x(P, P') vanished: P is not primitive and separable in "
+                "its top derivative; apply prepare_primitive_separable first")
     out = Q.normalize()
     bounds = {"order": (out.orders().get(fam, 0), r + 1),
               "d": (out.total_degree(), 2 * dx * d)}

@@ -32,7 +32,8 @@ from math import comb, factorial, perm
 
 from .dpoly import DPoly, JetVar
 from .errors import DalgError, HypothesisError
-from .fields import Field, common_denominator, plain_q, ring_of
+from .fields import (Field, _join_terms, common_denominator, plain_q,
+                     ring_of)
 from .system import _family_of_label
 
 
@@ -63,20 +64,8 @@ def _lneg(a):
 
 
 def _lmul(a, b, n, zero):
-    """Product of two coefficient lists truncated to length n.
-
-    The list with fewer nonzero entries is the outer one, and its zero
-    entries are skipped.
-    """
-    if sum(map(bool, a)) > sum(map(bool, b)):
-        a, b = b, a
-    out = [zero] * n
-    for i, ai in enumerate(a[:n]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[:n - i], i):
-            out[j] += ai * bj
-    return out
+    """Product of two coefficient lists truncated to length n."""
+    return [_product_coefficient(a, b, k, zero) for k in range(n)]
 
 
 def _lderive(a):
@@ -94,17 +83,10 @@ def _linv(field, a):
     if field.is_zero(a[0]):
         raise HypothesisError(
             "series has no constant term; it is not invertible")
-    n = len(a)
     inv0 = field.one / a[0]
-    support = [j for j in range(1, n) if a[j]]
-    out = [inv0] + [field.zero] * (n - 1)
-    for k in range(1, n):
-        acc = field.zero
-        for j in support:
-            if j > k:
-                break
-            acc = acc + a[j] * out[k - j]
-        out[k] = -inv0 * acc
+    out = [inv0]
+    for k in range(1, len(a)):
+        out.append(-inv0 * _product_coefficient(a, out, k, field.zero))
     return out
 
 
@@ -112,13 +94,11 @@ def _lexp0(field, a):
     if not field.is_zero(a[0]):
         raise HypothesisError(
             "exp requires a series with zero constant term")
-    n = len(a)
-    out = [field.one] + [field.zero] * (n - 1)
-    for k in range(1, n):
-        acc = field.zero
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc = acc + field.q(j) * a[j] * out[k - j]
-        out[k] = acc / field.q(k)
+    da = _lderive(a)
+    out = [field.one]
+    for k in range(1, len(a)):
+        out.append(_product_coefficient(da, out, k - 1, field.zero)
+                   / field.q(k))
     return out
 
 
@@ -194,8 +174,9 @@ class SeriesQ:
         for j, c in enumerate(self.coeffs):
             if self.field.is_zero(c):
                 continue
-            body = self.field.to_str(c)
-            if "+" in body or (body.count("-") and not body.startswith("-")):
+            terms = self.field.term_strings(c)
+            body = _join_terms(terms)
+            if len(terms) > 1:
                 body = f"({body})"
             parts.append(body if j == 0 else
                          (f"{body}*t^{j}" if j > 1 else f"{body}*t"))

@@ -252,6 +252,16 @@ def test_checkdreg_regular(capsys, tmp_path):
     assert obj["expected_dimension"] == obj["n_vars"] - obj["n_gens"] - 1
 
 
+def test_checkdreg_text_is_the_readme_line(capsys, tmp_path):
+    sys_file = tmp_path / "prod.sys"
+    sys_file.write_text(PROD_SYS)
+    code, out, _ = run(capsys, "checkdreg", "--system", str(sys_file),
+                       "--cutoff", "6", "--format", "text")
+    assert code == 0
+    assert out == ("regular=True rho=0 cutoff=6 expected_dimension=2 "
+                   "fitted_degree=2\n")
+
+
 def test_checkdreg_nonregular_exit5(capsys, tmp_path):
     sys_file = tmp_path / "nonreg.sys"
     sys_file.write_text(NONREG_SYS)
@@ -394,6 +404,15 @@ def test_experiment_json(capsys):
                    "3", "--seed", "42")
     assert obj["k_observed"] == 3
     assert obj["k_counting"] == 4 and obj["k_theorem_bound"] == 4
+
+
+def test_experiment_linear_polynomials_exit2(capsys):
+    # n+1 linear polynomials in n variables are always linearly dependent,
+    # so no draw could ever count; the run is refused before sampling
+    code, out, err = run(capsys, "experiment", "--n", "1", "--d", "1",
+                         "--seed", "0")
+    assert (code, out) == (2, "")
+    assert "d >= 2" in err and "linear relation" in err
 
 
 def test_experiment_budget_exit3(capsys):

@@ -6,9 +6,11 @@ import random
 import pytest
 
 from dalg import DPoly, JetVar, field_from_label, get_field, parse_poly
+from dalg.dpoly import mono_sort_key
 from dalg.errors import ParseError
 
-from oracles import DEFAULT_JETS, leading_monomial, rand_coeff, rand_poly
+from oracles import (DEFAULT_JETS, degree_monomials, leading_monomial,
+                     rand_coeff, rand_poly)
 
 FIELDS = [
     get_field("Q"),
@@ -188,6 +190,42 @@ def test_leading_monomial_order():
         ((JetVar.y(2).key, 2),)
     assert leading_monomial(parse_poly("y1^3 + y2^2", field)) == \
         ((JetVar.y(1).key, 3),)
+
+
+GREVLEX_KEYS = (JetVar.s().key, JetVar.y(1).key, JetVar.y(2).key,
+                JetVar.y(3).key, JetVar.z().key)
+
+
+def _dense_grevlex_cmp(u, v):
+    """Grevlex on dense exponent vectors over ascending variables: higher
+    degree wins, then the smaller exponent at the first differing
+    variable."""
+    if sum(u) != sum(v):
+        return 1 if sum(u) > sum(v) else -1
+    for a, b in zip(u, v):
+        if a != b:
+            return 1 if a < b else -1
+    return 0
+
+
+def test_grevlex_key_matches_dense_comparator():
+    rng = random.Random(5)
+    for _ in range(3000):
+        u, v = ([rng.choice((0, 0, 1, 2, 3)) for _ in GREVLEX_KEYS]
+                for _ in range(2))
+        if rng.random() < 0.5:
+            # equal degrees are where the reverse-lexicographic part decides
+            v = u[::-1]
+        m1, m2 = (tuple((k, e) for k, e in zip(GREVLEX_KEYS, w) if e)
+                  for w in (u, v))
+        k1, k2 = mono_sort_key(m1), mono_sort_key(m2)
+        assert (k1 > k2) - (k1 < k2) == _dense_grevlex_cmp(u, v)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_grevlex_key_sorts_degree_monomials(k):
+    monos = degree_monomials(GREVLEX_KEYS, k)
+    assert sorted(monos, key=mono_sort_key, reverse=True) == monos
 
 
 @pytest.mark.parametrize("label", ["Q", "Qi", "Qi(c;)", "Q(a;x)", "Qi(a;x)"])

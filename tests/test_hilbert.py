@@ -2,6 +2,7 @@
 closed form, regular-sequence detection, and the D-regularity check."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,7 @@ from dalg import (DPoly, JetVar, field_from_label, get_field, parse_poly,
                   parse_system)
 from dalg import hilbert
 from dalg.dpoly import mono_mul
-from dalg.errors import DalgError
+from dalg.errors import BudgetExceededError, DalgError
 from dalg.hilbert import (check_dregular, check_regular_sequence, hf,
                           hs_regular_closed_form)
 from dalg.linalg import (MacaulayLayers, SparseEliminator, modp_rank,
@@ -292,6 +293,46 @@ def test_check_dregular_profile_columns():
         deg, val, cf, verdict = line.split(",")
         assert int(val) == int(cf)
         assert verdict in ("regular", "unchecked")
+
+
+def _interpolation_degree(xs, ys):
+    """Degree of the Fraction polynomial through the points (xs, ys), or
+    None when it needs every point (degree len(xs) - 1)."""
+    coeffs = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis, den = [Fraction(1)], Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                # basis *= (x - xj), coefficients ascending
+                basis = [u - xj * w for u, w in zip([0] + basis, basis + [0])]
+                den *= xi - xj
+        for e, w in enumerate(basis):
+            coeffs[e] += yi * w / den
+    deg = max((e for e, c in enumerate(coeffs) if c), default=0)
+    return None if deg == len(xs) - 1 else deg
+
+
+@pytest.mark.parametrize("text", [
+    "target: z\ny1' - y1\ny2' - 1 - y2^2\nz - y1 - y2\n",
+    "target: z\ny1' - y1\ny2' - y2\nz - y1*y2\n",
+    "target: y2\ny1*y2' - 2*y1*y2\ny1*y1' - 3*y1\n"],
+    ids=["sum", "prod", "nonregular"])
+@pytest.mark.parametrize("rho", range(3))
+def test_fitted_degree_is_the_interpolation_degree(text, rho):
+    # the fit reads the last (at most 5) HF values up to the cutoff;
+    # fit_stable would need HF(cutoff + 1), which no report holds
+    spec = parse_system("field: Q\n" + text)
+    for cutoff in range(8):
+        try:
+            rep = check_dregular(spec, rho, cutoff=cutoff)
+        except BudgetExceededError:
+            # a larger cutoff only adds larger layers
+            assert cutoff >= 5
+            break
+        window = range(max(0, cutoff - 4), cutoff + 1)
+        assert rep.fitted_degree == _interpolation_degree(
+            list(window), [rep.profile.values[k] for k in window])
+        assert rep.fit_stable is None
 
 
 def test_hf_invariant_under_generator_scaling():

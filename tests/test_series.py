@@ -139,6 +139,53 @@ def test_distributivity_random():
         assert lhs == rhs
 
 
+def _conv(a, b, n):
+    """The first n coefficients of the product of two Fraction lists."""
+    return [sum((a[i] * b[k - i] for i in range(k + 1)
+                 if i < len(a) and k - i < len(b)), Fraction(0))
+            for k in range(n)]
+
+
+def _rand_values(rng, n, sparse):
+    vals = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+    if sparse:
+        # leading zeros and scattered zeros, as in x^2 * (1 + x^3)
+        vals = [v if j >= 2 and rng.random() < 0.4 else Fraction(0)
+                for j, v in enumerate(vals)]
+    return vals
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_products_quotients_and_exp_match_fraction_convolution(sparse):
+    rng = random.Random(17)
+    for _ in range(40):
+        na, nb = rng.randint(0, 9), rng.randint(0, 9)
+        a = _rand_values(rng, na + 1, sparse)
+        b = _rand_values(rng, nb + 1, sparse)
+        n = min(na, nb)
+        prod = series_mul(qs(a, na), qs(b, nb))
+        assert prod.N == n and fr_list(prod) == _conv(a, b, n + 1)
+        b[0] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        quo = series_div(qs(a, na), qs(b, nb))
+        assert quo.N == n and _conv(fr_list(quo), b, n + 1) == a[:n + 1]
+        # E = exp(a) is the series with E(0) = 1 and E' = a' * E
+        a[0] = Fraction(0)
+        e = fr_list(series_exp0(qs(a, na)))
+        da = [j * a[j] for j in range(1, na + 1)]
+        assert e[0] == 1
+        assert [j * e[j] for j in range(1, na + 1)] == _conv(da, e, na)
+
+
+def test_str_brackets_exactly_the_coefficients_of_several_terms():
+    FA, FI = field_from_label("Q(a;)"), field_from_label("Qi")
+    a, i = FA.param("a"), FI.i()
+    assert str(SeriesQ(FA, 0, [FA.one, -a - FA.one, a ** 2 - FA.q(2)], 2)) \
+        == "1 + (-a - 1)*t + (a^2 - 2)*t^2 + O(t^3)"
+    assert str(SeriesQ(FI, 0, [FI.zero, -FI.one - i, 3 * i], 2)) \
+        == "(-1-i)*t + 3*i*t^2 + O(t^3)"
+    assert str(qs([1, Fraction(-1, 2)], 1)) == "1 + -1/2*t + O(t^2)"
+
+
 def test_truncation_bookkeeping():
     s = witness("exp", 10)
     assert series_derive(s).N == 9
