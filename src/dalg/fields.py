@@ -428,13 +428,24 @@ def primitive_divisor(R, values, lead):
     Divided by it, values are primitive and lead (one of them) is positive
     over ZZ, in re > 0, im >= 0 over ZZ_I, or over a polynomial ring has
     such a leading coefficient.
+
+    Over plain Q the gcd is one math.gcd call.  Over the other rings an
+    entry 1 or -1 makes the gcd 1, so the result is the inverse of lead's
+    canonical unit with no gcd computed; otherwise the gcd is folded
+    entry by entry until it reaches 1.  values is read more than once.
     """
-    gcd, one = R.gcd, R.one
-    g = R.zero
-    for v in values:
-        g = gcd(g, v)
-        if g == one:
-            break
+    one = R.one
+    if R is INTEGERS:
+        g = gcd(*values)
+    elif one in values or -one in values:
+        g = one
+    else:
+        ring_gcd = R.gcd
+        g = R.zero
+        for v in values:
+            g = ring_gcd(g, v)
+            if g == one:
+                break
     # a sympy division by one costs several multiplications: skip it
     unit = R.canonical_unit(lead if g == one else lead // g)
     return g if unit == one else g // unit

@@ -21,8 +21,11 @@ row-echelon form with the deterministic pivot rule "first nonzero entry
 under the column order".  There is one reduction, fraction-free over R
 for every field: cross-multiplication by the pivots over their gcd, the
 gcd and both cofactors from one ring_cofactors call, with a row made
-primitive when it is stored.  Entries never leave R, so no operation
-needs a gcd of fractions.
+primitive when it is stored.  A pivot whose lead is 1 needs no gcd: the
+row is reduced by its entry times the pivot row, with no cofactors
+call, and a stored row holding an entry 1 or -1 is primitive with no
+gcd computed (primitive_divisor).  Entries never leave R, so no
+operation needs a gcd of fractions.
 
 The order rows are fed in is free.  The set of pivot columns depends
 only on the span of the rows and on the column order, and the echelon
@@ -150,10 +153,14 @@ class SparseEliminator:
     Rows hold elements of R = ring_of(field)[0] (ints over plain Q) and
     are reduced fraction-free: a step cross-multiplies by the pivots
     divided by their gcd, and a stored row is divided by the gcd of its
-    entries and given a canonical leading unit.  With track=True,
-    trails[i] is the recipe (coeffs, tag, scale, divisor) of stored row
-    i, all in R: row_i = (scale*input - sum_p coeffs[p]*row_p) / divisor,
-    where input is the row fed in under tag and every p < i.
+    entries and given a canonical leading unit, so a stored lead that
+    is a unit is 1.  A step by a pivot with lead 1 takes no gcd: its
+    cofactors are 1 and the row's entry.  Every step cancels the lead
+    column by deleting it, and a divisor that is a unit is applied as a
+    product with its inverse.  With track=True, trails[i] is the recipe
+    (coeffs, tag, scale, divisor) of stored row i, all in R:
+    row_i = (scale*input - sum_p coeffs[p]*row_p) / divisor, where input
+    is the row fed in under tag and every p < i.
     """
 
     def __init__(self, ncols, field=None, track=False):
@@ -185,7 +192,13 @@ class SparseEliminator:
             if p is None:
                 g = primitive_divisor(R, row.values(), row[c])
                 if g != one:
-                    row = {cc: v // g for cc, v in row.items()}
+                    # a unit divides as a product with its inverse,
+                    # which a sympy ring finds several times faster
+                    u = R.canonical_unit(g)
+                    if g * u == one:
+                        row = {cc: v * u for cc, v in row.items()}
+                    else:
+                        row = {cc: v // g for cc, v in row.items()}
                 recipe = None
                 if steps is not None:
                     # fold the steps: each one scaled the running row by
@@ -193,20 +206,28 @@ class SparseEliminator:
                     coeffs = {}
                     scale = one
                     for q, ma, mb in reversed(steps):
-                        coeffs[q] = mb * scale
-                        scale *= ma
+                        coeffs[q] = mb if scale == one else mb * scale
+                        if ma != one:
+                            scale *= ma
                     recipe = (coeffs, tag, scale, g)
                 return self._store(row, c, recipe)
             prow = self.rows[p]
-            _, ma, mb = cofactors(prow[c], row[c])
-            if ma != one:
-                row = {cc: v * ma for cc, v in row.items()}
+            lead = prow[c]
+            # ma * row - mb * prow: the lead column cancels, so it is
+            # deleted here and skipped below
+            if lead == one:
+                ma, mb = one, row.pop(c)
+            else:
+                _, ma, mb = cofactors(lead, row.pop(c))
+                if ma != one:
+                    row = {cc: v * ma for cc, v in row.items()}
             for cc, v in prow.items():
-                w = row.get(cc, zero) - v * mb
-                if w:
-                    row[cc] = w
-                else:
-                    del row[cc]
+                if cc != c:
+                    w = row.get(cc, zero) - v * mb
+                    if w:
+                        row[cc] = w
+                    else:
+                        del row[cc]
             if steps is not None:
                 steps.append((p, ma, mb))
         return None
@@ -266,7 +287,7 @@ class SparseEliminator:
                 factors.clear()
             top = len(dens) - 1
             v = lift(*out[tag]) if tag in out else R.zero
-            out[tag] = (v + w * scale, top)
+            out[tag] = (v + (w if scale == one else w * scale), top)
             for p, b in coeffs.items():
                 if p in weight:
                     weight[p] = (lift(*weight[p]) - w * b, top)

@@ -126,6 +126,59 @@ def trail_of(elim, i):
     return {t: F.convert_from(v, R) / d for t, v in nums.items()}
 
 
+def gcd_fold_divisor(R, values, lead):
+    """The gcd over R of every value, times the unit that makes lead
+    canonical: a plain fold with no early stop and no unit shortcut."""
+    g = R.zero
+    for v in values:
+        g = R.gcd(g, v)
+    return g // R.canonical_unit(lead // g)
+
+
+def reference_add_row(elim, row, tag=None):
+    """Reduce row into elim's rows, pivot_of_col and trails as the
+    fraction-free reduction does with no unit shortcut: every step takes
+    the gcd of the two leads and its cofactors, scales the row and
+    subtracts the pivot row over every column, the lead column included,
+    and the recipe fold multiplies every factor; a row is stored divided
+    by gcd_fold_divisor.  Returns the pivot column or None, as
+    SparseEliminator.add_row does."""
+    R = elim.ring
+    steps = [] if elim.track else None
+    row = dict(row)
+    while row:
+        c = min(row)
+        p = elim.pivot_of_col.get(c)
+        if p is None:
+            g = gcd_fold_divisor(R, list(row.values()), row[c])
+            row = {cc: v // g for cc, v in row.items()}
+            recipe = None
+            if steps is not None:
+                coeffs = {}
+                scale = R.one
+                for q, ma, mb in reversed(steps):
+                    coeffs[q] = mb * scale
+                    scale = scale * ma
+                recipe = (coeffs, tag, scale, g)
+            elim.pivot_of_col[c] = len(elim.rows)
+            elim.rows.append(row)
+            elim.trails.append(recipe)
+            return c
+        prow = elim.rows[p]
+        g = R.gcd(prow[c], row[c])
+        ma, mb = prow[c] // g, row[c] // g
+        row = {cc: v * ma for cc, v in row.items()}
+        for cc, v in prow.items():
+            w = row.get(cc, R.zero) - v * mb
+            if w:
+                row[cc] = w
+            else:
+                del row[cc]
+        if steps is not None:
+            steps.append((p, ma, mb))
+    return None
+
+
 def sympy_resultant(p_coeffs, q_coeffs):
     """Sylvester determinant of two univariate rational polynomials.
 

@@ -21,7 +21,8 @@ from dalg.linalg import (MOD_P, SparseEliminator, budget_limit, check_budget,
                          code_shifts, degree_codes, modp_rank, mono_code,
                          monomial_count)
 
-from oracles import degree_monomials, dense_rank, rand_coeff, trail_of
+from oracles import (degree_monomials, dense_rank, gcd_fold_divisor,
+                     rand_coeff, reference_add_row, trail_of)
 
 
 def _random_rows(rng, nrows, ncols, density=0.4, frac=False):
@@ -155,8 +156,8 @@ def test_trail_replays_each_reduced_row(label, size):
 def test_add_row_leaves_the_callers_row_alone(label, track):
     # the eliminator reduces its own copy of a row in place; no row a
     # caller fed in changes, over a row reduced by pivots with leading
-    # entry one (ma == 1) and by pivots whose lead does not divide the
-    # row's entry (ma != 1), two steps of each
+    # entry one (ma == 1, no cofactors call) and by pivots whose lead
+    # does not divide the row's entry (ma != 1), two steps of each
     field = field_from_label(label)
     R, _ = ring_of(field)
     one = R.one
@@ -178,11 +179,104 @@ def test_add_row_leaves_the_callers_row_alone(label, track):
         elim.add_row(row, t)
     assert rows == copies
     assert elim.rank == 5 and elim.rows[-1].keys() == {4, 5, 6, 7, 8, 9}
-    assert sum(ma == one for ma in steps) == 2
-    assert sum(ma != one for ma in steps) == 2
+    # the last row lost columns 0..3, one step by each pivot there; the
+    # spy sees only the steps whose pivot lead is not one
+    leads = [elim.rows[elim.pivot_of_col[c]][c] for c in range(4)]
+    assert sum(lead == one for lead in leads) == 2
+    assert sum(lead != one for lead in leads) == 2
+    assert len(steps) == 2 and all(ma != one for ma in steps)
     if track:
         nums, den = elim.trail_numerators(4)
         assert set(nums) == set(range(5))
+
+
+def _unit_and_other_elements(field):
+    """Ring elements of field: its units 1, -1 (and i, -i over Q(i)),
+    then non-units, some sharing factors."""
+    R, F = ring_of(field)
+
+    def ring(c):
+        return clear_denominators(R, F, [((), c)])[0][0][1]
+    q = field.q
+    units = [q(1), q(-1)]
+    others = [q(2), q(-3), q(4), q(6), q(-9)]
+    if field.desc.kind == "Qi":
+        units += [field.i(), -field.i()]
+        others += [q(1) + field.i(), q(2) - field.i(), q(2) * field.i()]
+    gens = [field.param(p) for p in field.desc.params]
+    if field.desc.has_x:
+        gens.append(field.x())
+    for t in gens:
+        others += [t + q(2), q(2) * t - q(3), t * t - q(1), q(-2) * t]
+    return [ring(c) for c in units], [ring(c) for c in others]
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["untracked", "tracked"])
+@pytest.mark.parametrize("label", ["Q", "Qi", "Q(c;)", "Qi(c;)", "Q(;x)"],
+                         ids=["Z", "Z[i]", "Z[c]", "Z[i][c]", "Z[x]"])
+def test_add_row_matches_the_reference_reduction(label, track):
+    # rows of units and non-units, some multiplied by a common factor and
+    # some combinations of earlier rows, go through add_row and through
+    # the reference reduction, which takes every gcd: both leave the same
+    # rows, pivots, recipes and certificates, over pivots with lead one
+    # and pivots with other leads
+    field = field_from_label(label)
+    R, _ = ring_of(field)
+    units, others = _unit_and_other_elements(field)
+    rng = random.Random(f"reference:{label}:{track}")
+    leads = set()
+    for _ in range(12):
+        ncols = rng.randint(3, 8)
+        rows = []
+        for _ in range(rng.randint(2, 9)):
+            share = rng.choice([0.0, 0.3, 0.7])
+            row = {j: rng.choice(units if rng.random() < share else others)
+                   for j in range(ncols) if rng.random() < 0.6}
+            if row and rng.random() < 0.25:
+                f = rng.choice(others)
+                row = {j: v * f for j, v in row.items()}
+            rows.append(row)
+            if rng.random() < 0.3:
+                combo = {}
+                for r in rows:
+                    f = rng.choice(units + others[:2])
+                    for j, v in r.items():
+                        combo[j] = combo.get(j, R.zero) + f * v
+                rows.append({j: v for j, v in combo.items() if v})
+        new = SparseEliminator(ncols, field=field, track=track)
+        ref = SparseEliminator(ncols, field=field, track=track)
+        for t, row in enumerate(rows):
+            assert new.add_row(row, t) == reference_add_row(ref, row, t)
+        assert new.rows == ref.rows
+        assert new.pivot_of_col == ref.pivot_of_col
+        assert new.trails == ref.trails
+        for i, stored in enumerate(new.rows):
+            leads.add(stored[min(stored)] == R.one)
+            if track:
+                assert new.trail_numerators(i) == ref.trail_numerators(i)
+                assert trail_of(new, i) == _trail_in_field(ref, i)
+    assert leads == {True, False}
+
+
+@pytest.mark.parametrize("label", ["Q", "Qi", "Q(c;)", "Qi(c;)", "Q(;x)"],
+                         ids=["Z", "Z[i]", "Z[c]", "Z[i][c]", "Z[x]"])
+def test_primitive_divisor_is_a_gcd_fold_with_units(label):
+    # lists holding a unit (1, -1, i or -i) among non-units, and lists
+    # with no unit, give the divisor of a plain gcd fold over every value
+    field = field_from_label(label)
+    R, _ = ring_of(field)
+    units, others = _unit_and_other_elements(field)
+    rng = random.Random(f"divisor:{label}")
+    for _ in range(60):
+        values = [rng.choice(others) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.6:
+            values.insert(rng.randint(0, len(values)), rng.choice(units))
+        elif rng.random() < 0.5:
+            f = rng.choice(others)
+            values = [v * f for v in values]
+        lead = rng.choice(values)
+        assert (primitive_divisor(R, values, lead)
+                == gcd_fold_divisor(R, values, lead)), values
 
 
 def test_modp_rank_lower_bounds_exact_rank():
