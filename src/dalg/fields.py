@@ -21,7 +21,11 @@ This module also owns the ring of each field (ring_of), its gcd with
 cofactors (ring_cofactors), numerators over a common denominator
 (common_denominator, clear_denominators) and the one canonical primitive
 form over the ring (primitive_divisor), which the eliminator's stored
-rows, DPoly.normalize and the series kernels use.
+rows, DPoly.normalize and the series kernels use.  x_free maps a field
+to its x-free field K0, the same field without x (Q(;x) to Q, Qi(a;x)
+to Qi(a;)), with the pair of conversions into and back between K0 and
+the x-free elements of the field; into raises HypothesisError on an
+element that involves x.  The series kernels evaluate in the ring of K0.
 """
 
 from __future__ import annotations
@@ -118,6 +122,7 @@ class Field:
         self.zero = self.domain.zero
         self.one = self.domain.one
         self._ring = None   # (R, F) of ring_of, built on first use
+        self._x_free = None  # (K0, into, back) of x_free, likewise
 
     def __repr__(self):
         return f"Field({self.desc.label})"
@@ -372,6 +377,77 @@ def ring_of(field):
         else:
             field._ring = F.get_ring(), F
     return field._ring
+
+
+def x_free(field):
+    """(K0, into, back): the x-free field K0 of field, which is the same
+    field without x, and the conversions between K0 and the elements of
+    field that are free of x.  into raises HypothesisError on an element
+    that involves x.  A field without x is its own K0, with both maps the
+    identity.  Built once per Field, on the first call.
+
+    Over Q(;x) K0 is plain Q, so its ring is the ints.  Both maps keep
+    the form field arithmetic gives an element: with parameters, the
+    numerator and denominator of an x-free element are those of its
+    form in K0 with a zero x-exponent in front of each monomial.  Over
+    Qi(;x) back cancels an integral numerator and denominator, as
+    arithmetic does: sympy reduces a Gaussian fraction only then.
+    """
+    if field._x_free is None:
+        field._x_free = _x_free_maps(field)
+    return field._x_free
+
+
+def _x_free_maps(field):
+    desc = field.desc
+    if not desc.has_x:
+        return field, _same, _same
+    K0 = get_field(desc.kind, desc.params)
+    frac = field.domain.field
+    ring = frac.ring
+
+    def check(c):
+        if any(m[0] for m in c.numer) or any(m[0] for m in c.denom):
+            raise HypothesisError(
+                f"coefficient {field.to_str(c)} involves x; it is not an "
+                f"element of {K0.desc.label}")
+
+    if desc.params:
+        frac0 = K0.domain.field
+        ring0 = frac0.ring
+
+        def into(c):
+            check(c)
+            return frac0.raw_new(
+                ring0.from_dict({m[1:]: v for m, v in c.numer.items()}),
+                ring0.from_dict({m[1:]: v for m, v in c.denom.items()}))
+
+        def back(c):
+            return frac.raw_new(
+                ring.from_dict({(0,) + m: v for m, v in c.numer.items()}),
+                ring.from_dict({(0,) + m: v for m, v in c.denom.items()}))
+    elif desc.kind == "Qi":
+        def into(c):
+            check(c)
+            return c.numer.LC / c.denom.LC
+
+        def back(c):
+            # integral numerator and denominator, as field arithmetic
+            # leaves them: cancel then gives the coprime canonical form
+            den = lcm(int(c.x.denominator), int(c.y.denominator))
+            return frac.new(ring.ground_new(c * den), ring.ground_new(den))
+    else:
+        QQ = field._qq
+
+        def into(c):
+            check(c)
+            q = c.numer.LC / c.denom.LC
+            return Fraction(int(q.numerator), int(q.denominator))
+
+        def back(c):
+            return frac.raw_new(ring.ground_new(QQ(c.numerator)),
+                                ring.ground_new(QQ(c.denominator)))
+    return K0, into, back
 
 
 def sympy_domain(field):

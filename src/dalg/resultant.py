@@ -17,6 +17,7 @@ from .dpoly import DPoly, JetVar, var_key
 from .eliminate import Annihilator
 from .errors import DalgError, HypothesisError
 from .fields import sympy_domain
+from .linalg import check_budget
 from .system import family_label
 
 
@@ -165,10 +166,13 @@ def _coeff_vector(p: DPoly, v: JetVar):
 
 def _sylvester(pc, qc, field):
     """Sylvester matrix of two descending coefficient lists: column j
-    holds pc shifted down j places for j < deg Q, then qc likewise."""
+    holds pc shifted down j places for j < deg Q, then qc likewise.
+    Its n x n entries are charged to the matrix budget before it is
+    built."""
     dp, dq = len(pc) - 1, len(qc) - 1
-    zero = DPoly.zero(field)
     n = dp + dq
+    check_budget(n, n)
+    zero = DPoly.zero(field)
     M = [[zero] * n for _ in range(n)]
     for j in range(dq):
         for t, c in enumerate(pc):

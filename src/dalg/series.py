@@ -7,18 +7,23 @@ order N means coefficients 0..N are correct; arithmetic tracks how many
 output coefficients remain trustworthy (differentiation loses one,
 products keep the minimum, integration gains one).
 
-Differential polynomials are evaluated in the ring R = ring_of(field)[0]
-of the coefficient field (ints over Q, Gaussian integers over Q(i),
-polynomials in the parameters and x otherwise): jets and coefficients
-are numerators in R over one common denominator, so no sum or product
-takes a gcd of fractions.  One evaluator, _Online, does all of it
-online: its step t computes coefficient t of every jet power and
-partial product of the polynomial, one convolution sum each.
-verify_annihilator reads the residual's numerators from it in order and
-stops at the first nonzero one; apply_dpoly takes them all and divides
-once at the end.  The series solver, solve_ode_series, evaluates the
-equation A*y^(r) + B = 0 with y^(r) held out: each step returns the
-rest of coefficient t and A_0, and one division in the field fixes
+Differential polynomials are evaluated in the ring R = ring_of(K0)[0] of
+the x-free field K0 = x_free(field)[0], which is the coefficient field
+without x: with x = point + t every Taylor coefficient is free of x, so
+R holds ints over Q and Q(;x), Gaussian integers over Q(i) and Qi(;x),
+and polynomials in the parameters otherwise.  Jets and coefficients are
+numerators in R over one common denominator, so no sum or product takes
+a gcd of fractions.  Each coefficient crosses between the field and K0
+once: witness coefficients and initial jets on the way in (one that
+involves x raises HypothesisError), solution and residual coefficients
+on the way out; a SeriesQ keeps the field's elements.  One evaluator,
+_Online, does all of it online: its step t computes coefficient t of
+every jet power and partial product of the polynomial, one convolution
+sum each.  verify_annihilator reads the residual's numerators from it
+in order and stops at the first nonzero one; apply_dpoly takes them all
+and divides once at the end.  The series solver, solve_ode_series,
+evaluates the equation A*y^(r) + B = 0 with y^(r) held out: each step
+returns the rest of coefficient t and A_0, and one division in K0 fixes
 coefficient r + t of the solution.  newton_algebraic_series has no
 solver of its own; it returns the ODE solver's series for the
 derivative of its algebraic equation.
@@ -33,7 +38,7 @@ from math import comb, factorial, perm
 from .dpoly import DPoly, JetVar
 from .errors import DalgError, HypothesisError
 from .fields import (Field, _join_terms, common_denominator, plain_q,
-                     ring_of)
+                     ring_of, x_free)
 from .system import _family_of_label
 
 
@@ -286,12 +291,15 @@ def _x_series(field, R, c, point, n):
     """Coefficient c, which may involve x, as a t-list with x = point + t,
     of length min(d + 1, n) for c of degree d in x.
 
-    Returns (numerators, denominator) in R.  c = sum_e c_e * x^e, with
-    the c_e over one denominator; with point = a/b the powers of b are
-    cleared into it too: b^d * x^e = sum_j C(e, j) * a^(e-j) *
-    b^(d-e+j) * t^j.
+    Returns (numerators, denominator) in R, the ring of the x-free field
+    K0 of field: every Taylor coefficient is free of x.  c = sum_e c_e *
+    x^e, with the c_e converted to K0 and put over one denominator; with
+    point = a/b the powers of b are cleared into it too: b^d * x^e =
+    sum_j C(e, j) * a^(e-j) * b^(d-e+j) * t^j.
     """
-    nums, den = common_denominator(R, field.domain, field.as_x_poly(c))
+    K0, into, _ = x_free(field)
+    nums, den = common_denominator(
+        R, ring_of(K0)[1], [into(ce) for ce in field.as_x_poly(c)])
     d = len(nums) - 1
     a, b = point.numerator, point.denominator
     out = [R.zero] * min(d + 1, n)
@@ -303,12 +311,11 @@ def _x_series(field, R, c, point, n):
     return out, den * b ** d
 
 
-def _coefficients(P: DPoly, point, n):
+def _coefficients(P: DPoly, R, point, n):
     """P's terms for _Online: (terms, den) with one entry (t-list,
     monomial, jet degree) per term, the t-lists (_x_series, at most n
     long) scaled to numerators in R over their common denominator den."""
     field = P.field
-    R = ring_of(field)[0]
     terms = []
     for m, c in P.terms.items():
         cnums, cden = _x_series(field, R, c, point, n)
@@ -324,7 +331,9 @@ def _coefficients(P: DPoly, point, n):
 
 
 class _Online:
-    """P evaluated online on series, in the ring R of its field.
+    """P evaluated online on series, in the ring R of the x-free field
+    K0 of its field (ints over Q and Q(;x), ZZ_I over Q(i) and Qi(;x),
+    polynomials in the parameters otherwise).
 
     push(fam, num, den) appends the next coefficient of a family's
     series, f_i = num/den, and with it coefficient i - o of each of its
@@ -342,8 +351,8 @@ class _Online:
     """
 
     def __init__(self, P: DPoly, point, n, held=None):
-        self.R = ring_of(P.field)[0]
-        terms, self.cden = _coefficients(P, point, n)
+        self.R = ring_of(x_free(P.field)[0])[0]
+        terms, self.cden = _coefficients(P, self.R, point, n)
         self.jets = {fam: [[] for _ in range(top + 1)]
                      for fam, top in P.orders().items()}
         self.kept = [(js, 1) for jet in self.jets.values() for js in jet]
@@ -447,20 +456,24 @@ def _product_coefficient(a, b, t, zero):
 
 
 def _to_field(field, nums, den):
-    """The field elements nums[j] / den, one division each."""
-    R, F = ring_of(field)
+    """The field elements nums[j] / den, for nums and den in the ring of
+    the x-free field K0: one division each in K0, then one conversion."""
+    K0, _, back = x_free(field)
+    R, F = ring_of(K0)
     vals = [F.convert_from(v, R) if v else F.zero for v in nums]
-    if den == R.one:
-        return vals
-    d = F.convert_from(den, R)
-    return [v / d if v else v for v in vals]
+    if den != R.one:
+        d = F.convert_from(den, R)
+        vals = [v / d if v else v for v in vals]
+    return [back(v) for v in vals]
 
 
 def _residual(P: DPoly, witnesses):
     """(point, numerators, denominator, truncation N) of P evaluated on
-    series witnesses; numerators and denominator lie in the ring of
-    P's field, and only numerators 0..N are trustworthy.  The numerators
-    are an iterator that computes each one when it is asked for."""
+    series witnesses; numerators and denominator lie in the ring of the
+    x-free field K0 of P's field, and only numerators 0..N are
+    trustworthy.  The numerators are an iterator that computes each one
+    when it is asked for.  Each witness coefficient is converted to K0
+    once; one that involves x raises HypothesisError."""
     field = P.field
     wit = {}
     for k, s in witnesses.items():
@@ -487,9 +500,10 @@ def _residual(P: DPoly, witnesses):
         raise DalgError("witness truncation too small for the derivatives "
                         "required")
     ev = _Online(P, point, n_eff + 1)
-    R, F = ring_of(field)
+    K0, into, _ = x_free(field)
+    R, F = ring_of(K0)
     nums, den = common_denominator(
-        R, F, [c for cs in series.values() for c in cs])
+        R, F, [into(c) for cs in series.values() for c in cs])
     nums = iter(nums)
     for fam, cs in series.items():
         for _ in cs:
@@ -518,7 +532,8 @@ def solve_ode_series(P: DPoly, initial, N, point=0) -> SeriesQ:
 
     P must involve a single jet family and be linear in its highest
     derivative, with leading coefficient nonvanishing on the initial
-    jets.  Coefficients 0..N are exact.
+    jets.  The initial jets are constants: one that involves x raises
+    HypothesisError.  Coefficients 0..N are exact.
     """
     return _solve_ode(P, initial, N, point)
 
@@ -526,7 +541,8 @@ def solve_ode_series(P: DPoly, initial, N, point=0) -> SeriesQ:
 # newton_algebraic_series calls this body, not the public name, so that a
 # wrapper timing each public name (perfbench's trace) counts its series once
 def _solve_ode(P, initial, N, point):
-    """The series of solve_ode_series, computed online in the ring R.
+    """The series of solve_ode_series, computed online in the ring R of
+    the x-free field K0 of P's field.
 
     P = A*f^(r) + B, where A and B take jets below order r only.  With
     q_t = (r+t)!/t! * f_(r+t) the coefficients of f^(r), coefficient t
@@ -535,7 +551,8 @@ def _solve_ode(P, initial, N, point):
     f^(r) held out: its step t returns that sum and A_0, both over
     cden * D^degree, and q_t is over D, so f_(r+t) = q_t * t!/(r+t)! =
     -acc * t! / (A_0 * D * (r+t)!).  Each coefficient is reduced by one
-    gcd in R and divided once into the field.
+    gcd in R and divided once into K0; the initial jets are converted
+    into K0 and the solution's coefficients out of it, once each.
     """
     field = P.field
     fams = set(P.orders())
@@ -551,13 +568,15 @@ def _solve_ode(P, initial, N, point):
     if N < 0:
         raise DalgError("truncation order must be >= 0")
     point = Fraction(point)
-    init = [c if _is_elem(field, c) else field.from_fraction(Fraction(c))
+    K0, into, back = x_free(field)
+    init = [into(c) if _is_elem(field, c) else K0.from_fraction(Fraction(c))
             for c in initial]
-    f = [c / field.q(factorial(j)) for j, c in enumerate(init)]
+    f0 = [c / K0.q(factorial(j)) for j, c in enumerate(init)]
+    f = [back(c) for c in f0]
 
-    R, F = ring_of(field)
+    R, F = ring_of(K0)
     ev = _Online(P, point, N + 1, held=(fam[0], fam[1], r))
-    nums, den = common_denominator(R, F, f)
+    nums, den = common_denominator(R, F, f0)
     for v in nums:
         ev.push(fam, v, den)
     for t in range(max(N + 1 - r, 1)):

@@ -211,6 +211,21 @@ def test_reselim_elimx_text(capsys):
     assert "y1'^2 - 4*y1" in out
 
 
+@pytest.mark.parametrize("mode, n", [
+    (("--hyperexp", "--p", "y2 - y1", "--u", "2*x", "--v", "1"), 2),
+    (("--elimx", "--p", "y1 - 3*x^2"), 3),
+    (("--alg", "--p", "y2' - y1", "--qg", "y1^2 - 4*x"), 3),
+], ids=["hyperexp", "elimx", "alg"])
+def test_reselim_budget_exit3(capsys, mode, n):
+    # the n x n Sylvester matrix is charged before it is built; a budget
+    # of exactly n*n entries lets the elimination run
+    code, out, err = run(capsys, "reselim", *mode, "--budget", "1")
+    assert code == 3 and out == ""
+    assert err == (f"error: matrix of {n} x {n} = {n * n} entries exceeds "
+                   f"budget 1\n")
+    assert run(capsys, "reselim", *mode, "--budget", str(n * n))[0] == 0
+
+
 def test_reselim_hypothesis_exit5(capsys):
     code, _, err = run(capsys, "reselim", "--alg", "--p", "y1^2 - x",
                        "--qg", "y1^2 - x")

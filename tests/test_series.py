@@ -491,7 +491,8 @@ def _oracle_valuation(P, wits, point):
 
 @pytest.mark.parametrize("point", [Fraction(0), Fraction(1, 2)],
                          ids=["0", "1/2"])
-@pytest.mark.parametrize("label", ["Q", "Qi", "Qi(c;)", "Q(a;x)", "Qi(a;x)"])
+@pytest.mark.parametrize("label", ["Q", "Qi", "Qi(c;)", "Q(;x)", "Qi(;x)",
+                                   "Q(a;x)", "Qi(a;x)"])
 def test_apply_dpoly_matches_field_oracle(label, point):
     field = field_from_label(label)
     rng = random.Random(f"{label}:{point}")
@@ -523,3 +524,90 @@ def test_apply_dpoly_matches_field_oracle(label, point):
     for text, wit in known:
         val, N = _oracle_valuation(parse_poly(text, field), wit, point)
         assert val == N + 1 and N >= 4, text
+
+
+# ---------------------------------------------------------------------------
+# x fields: evaluation in the ring of the x-free field
+
+X_FIELDS = ["Q(;x)", "Qi(;x)", "Q(a;x)", "Qi(a;x)"]
+POINTS = [Fraction(0), Fraction(1, 2), Fraction(1)]
+
+
+def _x_free_constant(field):
+    """(text, value): an x-free constant with i and the parameter when
+    the field has them, as grammar text and from the field's own
+    constructors."""
+    text, c = "3/2", field.q(3, 2)
+    if field.desc.kind == "Qi":
+        text, c = f"{text} + i", c + field.i()
+    if field.desc.params:
+        text, c = f"{text} + a", c + field.param("a")
+    return f"({text})", c
+
+
+@pytest.mark.parametrize("point", POINTS, ids=["0", "1/2", "1"])
+@pytest.mark.parametrize("label", X_FIELDS)
+def test_x_field_series_are_in_canonical_form(label, point):
+    # every coefficient is == to the one built by field arithmetic from
+    # the field's constructors: the conversion out of the x-free field
+    # keeps sympy's canonical numerator and denominator
+    field = field_from_label(label)
+    ctext, c = _x_free_constant(field)
+    p = field.from_fraction(point)
+    N = 8
+
+    # y' = c*x*y, y(point) = c: (k+1) y_(k+1) = c * (p*y_k + y_(k-1))
+    s = solve_ode_series(parse_poly(f"y1' - {ctext}*x*y1", field), [c], N,
+                         point=point)
+    want = [c]
+    for k in range(N):
+        prev = want[k - 1] if k else field.zero
+        want.append(c * (p * want[k] + prev) / field.q(k + 1))
+    assert s.coeffs == want
+
+    # y^2 = c^2 * (1 + t) from y0 = c: y = c * sqrt(1 + t)
+    Qg = parse_poly(f"y1^2 - {ctext}^2*(x - {point} + 1)", field)
+    s = newton_algebraic_series(Qg, c, N, point=point)
+    binom = [field.one]
+    for k in range(N):
+        binom.append(binom[k] * (field.q(1, 2) - field.q(k)) / field.q(k + 1))
+    assert s.coeffs == [c * b for b in binom]
+
+    # x*y1^2 + c*y1' on a witness of x-free constants
+    rng = random.Random(f"canonical:{label}:{point}")
+    w = [_const(rng, field) for _ in range(N + 1)]
+    r = apply_dpoly(parse_poly(f"x*y1^2 + {ctext}*y1'", field),
+                    {"y1": SeriesQ(field, point, w, N)})
+
+    def sq(k):
+        acc = field.zero
+        for i in range(k + 1):
+            acc = acc + w[i] * w[k - i]
+        return acc
+    want = [p * sq(k) + (sq(k - 1) if k else field.zero)
+            + c * w[k + 1] * field.q(k + 1) for k in range(N)]
+    assert r.N == N - 1 and r.coeffs == want
+
+
+@pytest.mark.parametrize("label", X_FIELDS)
+def test_witness_coefficient_with_x_raises(label):
+    # a series is in t = x - point: its coefficients are constants, and
+    # one that involves x is refused, not read as a constant
+    field = field_from_label(label)
+    x = field.x()
+    s = SeriesQ(field, 0, [x, field.one] + [field.zero] * 4, 5)
+    with pytest.raises(HypothesisError, match="involves x"):
+        apply_dpoly(parse_poly("y1' - 1", field), {"y1": s})
+    with pytest.raises(HypothesisError, match="involves x"):
+        verify_annihilator(SimpleNamespace(poly=parse_poly("y1' - y1", field)),
+                           {"y1": s})
+
+
+@pytest.mark.parametrize("label", X_FIELDS)
+def test_initial_jet_with_x_raises(label):
+    field = field_from_label(label)
+    x = field.x()
+    with pytest.raises(HypothesisError, match="involves x"):
+        solve_ode_series(parse_poly("y1' - y1", field), [x], 4)
+    with pytest.raises(HypothesisError, match="involves x"):
+        newton_algebraic_series(parse_poly("y1^2 - x^2", field), x, 4)
