@@ -10,6 +10,14 @@ rounding: k > (r+1)*(d^(p/q)-1) holds iff (k+r+1)^q > d^p * (r+1)^q,
 so k_min comes from an exact integer q-th root.  When that root is exact
 (d^(p/q) is an integer) so is the threshold; otherwise the printed
 threshold is rounded from floor(threshold * 10^s).
+
+relation_experiment finds the first degree k of a dependence among the
+products p^w, |w| <= k, of n+1 random polynomials in n variables.  Each
+draw walks k = 1, 2, ... with one eliminator, fed at each k only the
+products of degree exactly k, each from its parent of degree k - 1.
+Columns are packed codes in linalg.degree_codes' layout, ascending as
+exponent tuples are, so after degree k the eliminator holds the echelon
+form of the whole degree-<= k matrix, whose size the budget checks.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
 from .errors import DalgError, HypothesisError
+from .linalg import SparseEliminator, check_budget, degree_codes
 
 
 def iroot(a, n):
@@ -219,71 +228,49 @@ class RelationReport:
                 "k_theorem_bound": self.k_theorem_bound}
 
 
-def _monomials_upto(n, d):
-    out = []
-
-    def rec(pos, left, acc):
-        if pos == n:
-            out.append(tuple(acc))
-            return
-        for e in range(left + 1):
-            acc.append(e)
-            rec(pos + 1, left - e, acc)
-            acc.pop()
-
-    rec(0, d, [])
-    return out
-
-
-def _pmul(a, b):
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            c = out.get(m, 0) + ca * cb
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _sample_poly(rng, n, d):
+def _sample_poly(rng, codes, top):
+    """Coefficients in -9..9 drawn over the ascending codes of degree <= d,
+    again until a term has a code in top, those of degree d."""
     while True:
         poly = {}
-        for m in _monomials_upto(n, d):
-            c = rng.randint(-9, 9)
-            if c:
-                poly[m] = c
-        if any(sum(m) == d for m in poly):
+        for c in codes:
+            v = rng.randint(-9, 9)
+            if v:
+                poly[c] = v
+        if not top.isdisjoint(poly):
             return poly
 
 
-def _relation_exists(polys, n, d, k):
-    """Nonzero F of total degree <= k with F(p_0..p_n) = 0?
-
-    The matrix has one row per monomial of degree <= k in n+1 variables
-    and one column per monomial of degree <= k*d in n; its size is
-    checked against the work budget before it is built."""
-    from .linalg import SparseEliminator, check_budget
-    check_budget(comb(n + 1 + k, n + 1), comb(n + k * d, n))
-    cols = {m: i for i, m in enumerate(_monomials_upto(n, k * d))}
-    wmonos = sorted(_monomials_upto(n + 1, k), key=lambda m: (sum(m), m))
-    products = {}
-    nrows = 0
-    elim = SparseEliminator(len(cols))
-    one = {tuple([0] * n): 1}
-    for w in wmonos:
-        if sum(w) == 0:
-            products[w] = one
-        else:
-            i = next(j for j, e in enumerate(w) if e)
-            parent = tuple(e - (1 if j == i else 0) for j, e in enumerate(w))
-            products[w] = _pmul(products[parent], polys[i])
-        nrows += 1
-        row = {cols[m]: c for m, c in products[w].items()}
-        elim.add_row(row)
-    return elim.rank < nrows
+def _first_relation(polys, d, k_top):
+    """The least k <= k_top at which the products p^w, |w| <= k, of polys
+    ({code: coefficient}) are linearly dependent.  Degree k feeds p^w,
+    |w| = k, in ascending w, each from p^w' times p_i, where i is the
+    first nonzero exponent of w and w' is w less one there.  At k_top
+    the rows outnumber the columns, so a relation exists there."""
+    n = len(polys) - 1
+    w = k_top.bit_length()
+    exps = degree_codes(n + 1, w, k_top)
+    elim = SparseEliminator(comb(n + k_top * d, n))
+    prev = {0: {0: 1}}
+    elim.add_row(prev[0])
+    for k in range(1, k_top + 1):
+        nrows = comb(n + 1 + k, n + 1)
+        check_budget(nrows, comb(n + k * d, n))
+        cur = {}
+        for e in exps[k]:
+            # the highest nonzero field holds the first nonzero exponent
+            f = (e.bit_length() - 1) // w
+            row = {}
+            for ca, va in prev[e - (1 << f * w)].items():
+                for cb, vb in polys[n - f].items():
+                    row[ca + cb] = row.get(ca + cb, 0) + va * vb
+            cur[e] = row = {c: v for c, v in row.items() if v}
+            elim.add_row(row)
+        if elim.rank < nrows:
+            return k
+        prev = cur
+    raise DalgError(f"internal error: no relation at degree {k_top}, where "
+                    "the rows outnumber the columns")
 
 
 def relation_experiment(n, d, seed):
@@ -298,15 +285,16 @@ def relation_experiment(n, d, seed):
     k_counting = 1
     while comb(n + 1 + k_counting, n + 1) <= comb(n + k_counting * d, n):
         k_counting += 1
+    # one code layout for every product up to degree k_counting * d
+    table = degree_codes(n, (k_counting * d).bit_length(), d)
+    codes = sorted(c for cs in table for c in cs)
+    top = set(table[d])
     rng = random.Random(seed)
     for _ in range(20):
-        polys = [_sample_poly(rng, n, d) for _ in range(n + 1)]
-        if _relation_exists(polys, n, d, 1):
-            continue
-        k = 2
-        while not _relation_exists(polys, n, d, k):
-            k += 1
-        return RelationReport(n=n, d=d, seed=seed, k_observed=k,
-                              k_counting=k_counting, k_theorem_bound=k_thm)
+        polys = [_sample_poly(rng, codes, top) for _ in range(n + 1)]
+        k = _first_relation(polys, d, k_counting)
+        if k > 1:
+            return RelationReport(n=n, d=d, seed=seed, k_observed=k,
+                                  k_counting=k_counting, k_theorem_bound=k_thm)
     raise HypothesisError("degenerate samples: dependence at degree 1 in "
                           "20 consecutive draws")

@@ -89,28 +89,23 @@ def cmd_bound(fmt, args):
         _need(args, ["d", "rmin", "rl", "r"], "thm")
         mode = "thm"
         params = {"d": args.d, "r_min": args.rmin, "r_l": args.rl, "r": args.r}
-        tb = _bounds.theorem_bound(args.d, args.rmin, args.rl, args.r)
-        suff = _bounds.sufficiency_k(args.d, args.rmin, args.rl, args.r)
+        d, r_l = args.d, args.rl
     elif args.plus_times:
         _need(args, ["degq", "d", "rmin", "r"], "plus-times")
         mode = "plus-times"
         params = {"degQ": args.degq, "d": args.d, "r_min": args.rmin,
                   "r": args.r}
-        k_min = _bounds.plus_times_bound(args.degq, args.d, args.rmin, args.r)
-        tb = _bounds.theorem_bound(args.degq * args.d, args.rmin, 0, args.r)
-        assert tb.k_min == k_min
-        suff = _bounds.sufficiency_k(args.degq * args.d, args.rmin, 0, args.r)
+        # validates the arguments; the bound is the main one at degQ*d
+        _bounds.plus_times_bound(args.degq, args.d, args.rmin, args.r)
+        d, r_l = args.degq * args.d, 0
     elif args.div:
         _need(args, ["degqn", "degqd", "d", "rmin", "r"], "div")
         mode = "div"
         params = {"degQn": args.degqn, "degQd": args.degqd, "d": args.d,
                   "r_min": args.rmin, "r": args.r}
-        k_min = _bounds.div_bound(args.degqn, args.degqd, args.d, args.rmin,
-                                  args.r)
-        deg_q = max(args.degqn, args.degqd, 1)
-        tb = _bounds.theorem_bound(deg_q * args.d, args.rmin, 0, args.r)
-        assert tb.k_min == k_min
-        suff = _bounds.sufficiency_k(deg_q * args.d, args.rmin, 0, args.r)
+        # validates the arguments; the bound is the main one at degQ*d
+        _bounds.div_bound(args.degqn, args.degqd, args.d, args.rmin, args.r)
+        d, r_l = max(args.degqn, args.degqd, 1) * args.d, 0
     else:
         _need(args, ["r1", "r2", "d1", "d2"], "comp")
         mode = "comp"
@@ -125,6 +120,8 @@ def cmd_bound(fmt, args):
         return _pick(fmt, args,
                      json_obj=payload, text=line, csv_text=csv_text), 0
 
+    tb = _bounds.theorem_bound(d, args.rmin, r_l, args.r)
+    suff = _bounds.sufficiency_k(d, args.rmin, r_l, args.r)
     payload = {"mode": mode, "params": params, "threshold": tb.display,
                "threshold_exact": tb.exact, "k_min": tb.k_min,
                "sufficiency_k": suff}

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .dpoly import DPoly, JetVar, mono_mul, mono_sort_key
 from .errors import DalgError
-from .fields import primitive_divisor
+from .fields import fraction_field, primitive_divisor
 from .linalg import MacaulayLayers, mono_decode, ring_vars
 from .system import SystemSpec, _family_of_label, prolong
 from . import bounds as _bounds
@@ -175,7 +175,7 @@ class AnnihilatorSearch:
         generator and search in R: with dens[gi] = a/b and a coefficient
         n/d of the generator, a cleared term v must have v*b*d == a*n."""
         if gi not in self._checked:
-            K = R.get_field()
+            K = fraction_field(R)
             den = K.convert_from(self.layers.dens[gi], F)
             a, b = K.numer(den), K.denom(den)
             cleared = dict(self.layers.terms[gi])

@@ -18,7 +18,8 @@ QQ_I), and sympy is imported when the first such field is built.
 Only x has a nonzero derivative (x' = 1); parameters are constants.
 
 This module also owns the ring of each field (ring_of), its gcd with
-cofactors (ring_cofactors), numerators over a common denominator
+cofactors (ring_cofactors), the ring's own fraction field
+(fraction_field), numerators over a common denominator
 (common_denominator, clear_denominators) and the one canonical primitive
 form over the ring (primitive_divisor), which the eliminator's stored
 rows, DPoly.normalize and the series kernels use.  x_free maps a field
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .errors import FieldError, HypothesisError
@@ -478,10 +480,17 @@ def ring_cofactors(R):
     return R.cofactors
 
 
+@cache
+def fraction_field(R):
+    """R.get_field(), built once per ring: over a sympy polynomial ring
+    each build is a new domain that leaves objects in reference cycles."""
+    return R.get_field()
+
+
 def common_denominator(R, F, values):
     """(numerators, den) over R with values[j] = numerators[j] / den, for
     field elements values; den is their least common denominator."""
-    K = R.get_field()
+    K = fraction_field(R)
     parts = [K.convert_from(c, F) if c else K.zero for c in values]
     one = den = R.one
     for c in parts:

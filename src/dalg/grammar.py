@@ -78,7 +78,12 @@ class _Parser:
     def parse(self):
         if not self.tokens:
             raise ParseError("empty input", 1)
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:
+            # only "(" recurses: nesting past the interpreter's limit
+            raise ParseError("expression nested too deeply",
+                             self.peek()[2]) from None
         kind, val, pos = self.peek()
         if kind is not None:
             raise ParseError(f"unexpected {val!r}", pos)

@@ -8,7 +8,7 @@ and certificates replayed over the field, not its ring.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 import sympy
@@ -75,6 +75,39 @@ def dense_rank(rows, ncols, zero=Fraction(0)):
         rank += 1
         col += 1
     return rank
+
+
+def first_relation_degree(polys, k_max):
+    """The least k <= k_max at which the products p^w, |w| <= k, of the
+    integer polynomials polys ({exponent tuple: coefficient}) are
+    linearly dependent, or None: at each k the whole degree-<= k product
+    matrix is rebuilt from exponent tuples, each p^w as a plain product
+    of powers, and its dense_rank compared with its row count."""
+    def times(a, b):
+        out = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = tuple(x + y for x, y in zip(ma, mb))
+                out[m] = out.get(m, 0) + ca * cb
+        return out
+
+    one = {tuple(0 for _ in next(iter(polys[0]))): 1}
+    for k in range(1, k_max + 1):
+        rows = []
+        for w in product(range(k + 1), repeat=len(polys)):
+            if sum(w) <= k:
+                row = one
+                for p, e in zip(polys, w):
+                    for _ in range(e):
+                        row = times(row, p)
+                rows.append(row)
+        cols = sorted({m for row in rows for m in row})
+        index = {m: j for j, m in enumerate(cols)}
+        mat = [{index[m]: Fraction(c) for m, c in row.items() if c}
+               for row in rows]
+        if dense_rank(mat, len(cols)) < len(rows):
+            return k
+    return None
 
 
 def layer_columns(layers, k):

@@ -1,15 +1,21 @@
 """Closed-form degree bounds, the order/degree curve, and the seeded
 random-relation experiment."""
 
+import gc
 import random
+from itertools import product
 from math import comb
 
 import pytest
 
+from dalg import bounds
 from dalg.bounds import (composition_bound, curve, curve_to_csv, div_bound,
                          iroot, plus_times_bound, relation_experiment,
                          sufficiency_k, theorem_bound)
 from dalg.errors import DalgError
+from dalg.linalg import SparseEliminator
+
+from oracles import first_relation_degree
 
 
 def test_hand_valued_bounds():
@@ -239,3 +245,109 @@ def test_relation_experiment_reproducible_and_scaled():
     assert a.to_json() == b.to_json()
     with pytest.raises(DalgError):
         relation_experiment(4, 2, 1)
+
+
+def _k_counting(n, d):
+    k = 1
+    while comb(n + 1 + k, n + 1) <= comb(n + k * d, n):
+        k += 1
+    return k
+
+
+def _draw(rng, n, d):
+    """One draw of relation_experiment over exponent tuples: coefficients
+    in -9..9 over the monomials of degree <= d in ascending tuple order,
+    drawn again until a term has degree d."""
+    monos = sorted(m for m in product(range(d + 1), repeat=n) if sum(m) <= d)
+    while True:
+        poly = {}
+        for m in monos:
+            c = rng.randint(-9, 9)
+            if c:
+                poly[m] = c
+        if any(sum(m) == d for m in poly):
+            return poly
+
+
+def _coded(poly, n, w):
+    """poly over exponent tuples as {packed code: coefficient}, the first
+    variable in the highest field of w bits."""
+    return {sum(e << (n - 1 - i) * w for i, e in enumerate(m)): c
+            for m, c in poly.items()}
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (1, 3), (2, 2)])
+def test_relation_experiment_matches_dense_oracle(monkeypatch, n, d):
+    # every draw the walk gets is the same draw made over exponent tuples,
+    # coded in fields wide enough for degree k_counting * d, and k_observed
+    # is the dense oracle's first relation degree of the last draw
+    walked = []
+    walk = bounds._first_relation
+
+    def spy(polys, *rest):
+        walked.append(polys)
+        return walk(polys, *rest)
+
+    monkeypatch.setattr(bounds, "_first_relation", spy)
+    k_counting = _k_counting(n, d)
+    w = (k_counting * d).bit_length()
+    for seed in range(6):
+        walked.clear()
+        k_observed = relation_experiment(n, d, seed).k_observed
+        rng = random.Random(seed)
+        for polys in walked:
+            draw = [_draw(rng, n, d) for _ in range(n + 1)]
+            assert polys == [_coded(p, n, w) for p in draw]
+            assert (first_relation_degree(draw, k_counting) > 1) == \
+                (polys is walked[-1])
+        assert first_relation_degree(draw, k_counting) == k_observed
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (1, 3), (2, 2), (2, 3)])
+def test_degree_walk_matches_dense_oracle(n, d):
+    # sparse seeded draws, many of which are dependent early; a walk cut
+    # at k_top below the counting onset reports a draw without a relation
+    # by then as an internal error
+    k_top = 4
+    for seed in range(12):
+        rng = random.Random(seed)
+        monos = [m for m in product(range(d + 1), repeat=n) if sum(m) <= d]
+        polys = [{m: rng.choice([-2, -1, 1, 3])
+                  for m in rng.sample(monos, rng.randint(1, 3))}
+                 for _ in range(n + 1)]
+        k = first_relation_degree(polys, k_top)
+        coded = [_coded(p, n, (k_top * d).bit_length()) for p in polys]
+        if k is None:
+            with pytest.raises(DalgError, match="internal error"):
+                bounds._first_relation(coded, d, k_top)
+        else:
+            assert bounds._first_relation(coded, d, k_top) == k
+
+
+@pytest.mark.parametrize("n,d,seed", [(1, 3, 42), (2, 2, 42), (2, 2, 7)])
+def test_degree_walk_feeds_each_row_once(monkeypatch, n, d, seed):
+    # a draw that is not dependent at degree 1 feeds each product p^w,
+    # |w| <= k_observed, exactly once
+    calls = []
+    add_row = SparseEliminator.add_row
+
+    def counted(self, row, tag=None):
+        calls.append(row)
+        return add_row(self, row, tag)
+
+    monkeypatch.setattr(SparseEliminator, "add_row", counted)
+    k = relation_experiment(n, d, seed).k_observed
+    assert len(calls) == comb(n + 1 + k, n + 1)
+
+
+def test_relation_experiment_leaves_no_cyclic_garbage():
+    relation_experiment(2, 2, 42)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        relation_experiment(2, 2, 42)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()

@@ -359,6 +359,27 @@ def test_system_parse_error_exit2(capsys, tmp_path):
     assert code == 2 and err.startswith("error: line 3")
 
 
+@pytest.mark.parametrize("depth,code", [(150, 0), (200, 2), (10000, 2)])
+def test_deep_nesting_in_the_exit_code_contract(capsys, depth, code):
+    # nesting deeper than the interpreter's recursion limit allows is a
+    # parse error (exit 2) with a one-line message, not a traceback
+    poly = "(" * depth + "z' - z" + ")" * depth
+    got, out, err = run(capsys, "verify", "--poly", poly, "--witness", "z=exp")
+    assert got == code and "Traceback" not in err
+    if code:
+        assert out == ""
+        assert err.startswith("error: expression nested too deeply")
+
+
+def test_deep_nesting_in_a_system_file_exit2(capsys, tmp_path):
+    sys_file = tmp_path / "deep.sys"
+    sys_file.write_text("field: Q\ntarget: z\n" + "(" * 200 + "z" + ")" * 200
+                        + "\n")
+    code, _, err = run(capsys, "hilbert", "--system", str(sys_file))
+    assert code == 2
+    assert err.startswith("error: line 3: expression nested too deeply")
+
+
 # ---------------------------------------------------------------------------
 # verify / experiment
 

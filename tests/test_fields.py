@@ -7,7 +7,7 @@ import pytest
 
 from dalg import field_from_label, get_field
 from dalg.errors import FieldError, HypothesisError, ParseError
-from dalg.fields import ring_of
+from dalg.fields import common_denominator, ring_of
 
 from oracles import as_fraction, eval_x, is_rational
 
@@ -34,6 +34,27 @@ def test_ring_is_built_once_per_field(label):
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         ring_of(f)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("label", ["Q(;x)", "Qi(c;)"])
+def test_common_denominator_leaves_no_cyclic_garbage(label):
+    # the fraction field of the ring is built once: a new sympy domain per
+    # call left objects in reference cycles
+    f = field_from_label(label)
+    R, F = ring_of(f)
+    t = f.x() if f.desc.has_x else f.param("c")
+    values = [f.q(1, 2), f.one / (t + f.one), f.zero]
+    nums, den = common_denominator(R, F, values)
+    assert common_denominator(R, F, values) == (nums, den)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        common_denominator(R, F, values)
         gc.collect()
         assert gc.garbage == []
     finally:
