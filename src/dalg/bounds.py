@@ -243,21 +243,21 @@ def _sample_poly(rng, codes, top):
 
 def _first_relation(polys, d, k_top):
     """The least k <= k_top at which the products p^w, |w| <= k, of polys
-    ({code: coefficient}) are linearly dependent.  Degree k feeds p^w,
-    |w| = k, in ascending w, each from p^w' times p_i, where i is the
-    first nonzero exponent of w and w' is w less one there.  At k_top
-    the rows outnumber the columns, so a relation exists there."""
+    ({code: coefficient}) are linearly dependent.  On reaching k, feed p^w,
+    |w| = k, in ascending w, each p^w' * p_i with i the first nonzero
+    exponent of w and w' one less there, so the codes w come from degree
+    k - 1.  At k_top the rows outnumber the columns: a relation exists."""
     n = len(polys) - 1
     w = k_top.bit_length()
-    exps = degree_codes(n + 1, w, k_top)
     elim = SparseEliminator(comb(n + k_top * d, n))
     prev = {0: {0: 1}}
     elim.add_row(prev[0])
     for k in range(1, k_top + 1):
         nrows = comb(n + 1 + k, n + 1)
         check_budget(nrows, comb(n + k * d, n))
+        exps = sorted({e + (1 << j * w) for e in prev for j in range(n + 1)})
         cur = {}
-        for e in exps[k]:
+        for e in exps:
             # the highest nonzero field holds the first nonzero exponent
             f = (e.bit_length() - 1) // w
             row = {}

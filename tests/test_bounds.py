@@ -12,8 +12,8 @@ from dalg import bounds
 from dalg.bounds import (composition_bound, curve, curve_to_csv, div_bound,
                          iroot, plus_times_bound, relation_experiment,
                          sufficiency_k, theorem_bound)
-from dalg.errors import DalgError
-from dalg.linalg import SparseEliminator
+from dalg.errors import BudgetExceededError, DalgError
+from dalg.linalg import SparseEliminator, budget_limit
 
 from oracles import first_relation_degree
 
@@ -338,6 +338,26 @@ def test_degree_walk_feeds_each_row_once(monkeypatch, n, d, seed):
     monkeypatch.setattr(SparseEliminator, "add_row", counted)
     k = relation_experiment(n, d, seed).k_observed
     assert len(calls) == comb(n + 1 + k, n + 1)
+
+
+@pytest.mark.parametrize("budget, layer", [(1, "5 x 35"), (175, "15 x 165")])
+def test_degree_walk_charges_each_degree_before_building_it(monkeypatch,
+                                                            budget, layer):
+    # k_counting is near 250 for n = 3, d = 4, where a code table up to it
+    # would hold ~1.7e8 ints; the walk makes degree k's codes only after
+    # that degree's budget check, and no table above the draws' degree d
+    tables = []
+    codes = bounds.degree_codes
+
+    def spy(v, w, k):
+        tables.append(k)
+        assert k <= 4
+        return codes(v, w, k)
+
+    monkeypatch.setattr(bounds, "degree_codes", spy)
+    with budget_limit(budget), pytest.raises(BudgetExceededError) as e:
+        relation_experiment(3, 4, 0)
+    assert f"matrix of {layer} " in str(e.value) and tables == [4]
 
 
 def test_relation_experiment_leaves_no_cyclic_garbage():

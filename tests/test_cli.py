@@ -460,6 +460,15 @@ def test_experiment_budget_exit3(capsys):
     assert err == "error: matrix of 4 x 10 = 40 entries exceeds budget 1\n"
 
 
+def test_experiment_budget_exit3_before_large_tables(capsys):
+    # n = 3, d = 4 counts up to degree ~250, yet the first check comes
+    # before anything of degree 1 is built
+    code, out, err = run(capsys, "experiment", "--n", "3", "--d", "4",
+                         "--seed", "0", "--budget", "1")
+    assert code == 3 and out == ""
+    assert err == "error: matrix of 5 x 35 = 175 entries exceeds budget 1\n"
+
+
 # ---------------------------------------------------------------------------
 # cross-cutting
 
