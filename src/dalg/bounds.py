@@ -14,8 +14,8 @@ threshold is rounded from floor(threshold * 10^s).
 relation_experiment finds the first degree k of a dependence among the
 products p^w, |w| <= k, of n+1 random polynomials in n variables.  Each
 draw walks k = 1, 2, ... with one eliminator, fed at each k only the
-products of degree exactly k, each from its parent of degree k - 1.
-Columns are packed codes in linalg.degree_codes' layout, ascending as
+products of degree exactly k, each p_j times one of degree k - 1.
+Columns are packed codes (linalg.next_degree_codes), ascending as
 exponent tuples are, so after degree k the eliminator holds the echelon
 form of the whole degree-<= k matrix, whose size the budget checks.
 """
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
 from .errors import DalgError, HypothesisError
-from .linalg import SparseEliminator, check_budget, degree_codes
+from .linalg import SparseEliminator, check_budget, next_degree_codes
 
 
 def iroot(a, n):
@@ -228,44 +228,44 @@ class RelationReport:
                 "k_theorem_bound": self.k_theorem_bound}
 
 
-def _sample_poly(rng, codes, top):
-    """Coefficients in -9..9 drawn over the ascending codes of degree <= d,
-    again until a term has a code in top, those of degree d."""
+def _sample_poly(rng, codes, w):
+    """Coefficients in -9..9 drawn over codes, the ascending codes of
+    degree d in n + 1 variables, again until a term is free of the last
+    (bits 0..w-1); keyed by code >> w, those of degree <= d in n."""
     while True:
         poly = {}
         for c in codes:
             v = rng.randint(-9, 9)
             if v:
                 poly[c] = v
-        if not top.isdisjoint(poly):
-            return poly
+        if any(not c & ((1 << w) - 1) for c in poly):
+            return {c >> w: v for c, v in poly.items()}
 
 
 def _first_relation(polys, d, k_top):
     """The least k <= k_top at which the products p^w, |w| <= k, of polys
-    ({code: coefficient}) are linearly dependent.  On reaching k, feed p^w,
-    |w| = k, in ascending w, each p^w' * p_i with i the first nonzero
-    exponent of w and w' one less there, so the codes w come from degree
-    k - 1.  At k_top the rows outnumber the columns: a relation exists."""
+    ({code: coefficient}) are linearly dependent.  On reaching k, feed
+    p^w, |w| = k, in ascending w: for j = n down to 0, p_j times each of
+    the first C(n - j + k - 1, k - 1) products of degree k - 1 (those in
+    p_j.. only), which gives the p^w whose first nonzero exponent is at
+    j.  At k_top the rows outnumber the columns: a relation exists."""
     n = len(polys) - 1
-    w = k_top.bit_length()
     elim = SparseEliminator(comb(n + k_top * d, n))
-    prev = {0: {0: 1}}
+    prev = [{0: 1}]
     elim.add_row(prev[0])
     for k in range(1, k_top + 1):
         nrows = comb(n + 1 + k, n + 1)
         check_budget(nrows, comb(n + k * d, n))
-        exps = sorted({e + (1 << j * w) for e in prev for j in range(n + 1)})
-        cur = {}
-        for e in exps:
-            # the highest nonzero field holds the first nonzero exponent
-            f = (e.bit_length() - 1) // w
-            row = {}
-            for ca, va in prev[e - (1 << f * w)].items():
-                for cb, vb in polys[n - f].items():
-                    row[ca + cb] = row.get(ca + cb, 0) + va * vb
-            cur[e] = row = {c: v for c, v in row.items() if v}
-            elim.add_row(row)
+        cur = []
+        for j in range(n, -1, -1):
+            for parent in prev[:comb(n - j + k - 1, k - 1)]:
+                row = {}
+                for ca, va in parent.items():
+                    for cb, vb in polys[j].items():
+                        row[ca + cb] = row.get(ca + cb, 0) + va * vb
+                row = {c: v for c, v in row.items() if v}
+                cur.append(row)
+                elim.add_row(row)
         if elim.rank < nrows:
             return k
         prev = cur
@@ -286,12 +286,13 @@ def relation_experiment(n, d, seed):
     while comb(n + 1 + k_counting, n + 1) <= comb(n + k_counting * d, n):
         k_counting += 1
     # one code layout for every product up to degree k_counting * d
-    table = degree_codes(n, (k_counting * d).bit_length(), d)
-    codes = sorted(c for cs in table for c in cs)
-    top = set(table[d])
+    w = (k_counting * d).bit_length()
+    codes = [0]
+    for _ in range(d):
+        codes = next_degree_codes(codes, n + 1, w)
     rng = random.Random(seed)
     for _ in range(20):
-        polys = [_sample_poly(rng, codes, top) for _ in range(n + 1)]
+        polys = [_sample_poly(rng, codes, w) for _ in range(n + 1)]
         k = _first_relation(polys, d, k_counting)
         if k > 1:
             return RelationReport(n=n, d=d, seed=seed, k_observed=k,

@@ -5,8 +5,8 @@ columns, makes the rows monomial * generator and checks the work budget
 before any row of a layer is built.  Inside the builder a monomial is a
 packed integer code (code_shifts, mono_code), one bit field per
 variable: columns and multipliers are read from one table of ascending
-codes per layer (degree_codes), the column of a product is found from
-the sum of two codes, and a row is labelled by its multiplier's code.
+codes per field width, grown by next_degree_codes, a product's column
+from the sum of two codes, and a row is labelled by its multiplier's code.
 Monomial tuples are decoded (mono_decode) only by the search that reads
 an annihilator and replays its certificate.  Each generator is cleared
 of denominators once, into the ring R of its field: ints over plain Q,
@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from math import comb
@@ -338,23 +339,18 @@ def mono_decode(code, shifts):
     return tuple(mono)
 
 
-def degree_codes(v, w, k):
+def next_degree_codes(prev, v, w):
     """Ascending codes, under fields w bits wide, of the monomials of
-    each degree 0..k in v >= 1 variables: entry e lists degree e.
-
-    Built from the last variable up, with no set and no sort: the codes
-    of degree e in the last j + 1 variables are, for each exponent a of
-    the first of them in ascending order, a in that variable's field
-    (bit j * w) in front of the codes of degree e - a in the last j
-    variables.  That field is the highest in use, so each list is
-    ascending as it is built.
-    """
-    table = [[e] for e in range(k + 1)]
-    for j in range(1, v):
-        s = j * w
-        table = [[(a << s) + c for a in range(e + 1) for c in table[e - a]]
-                 for e in range(k + 1)]
-    return table
+    degree e + 1 in v >= 1 variables, from prev, those of degree e, with
+    no set and no sort: a monomial whose first nonzero exponent is at
+    variable j is x_j times one in the variables j.. only, whose codes
+    are those of prev below 1 << (v - j) * w.  x_j's field is then the
+    highest in use, so each group is ascending and below the next."""
+    out = []
+    for j in range(v - 1, -1, -1):
+        one = 1 << (v - 1 - j) * w
+        out += [one + c for c in prev[:bisect_left(prev, one << w)]]
+    return out
 
 
 def _coded_rows(index, terms, codes):
@@ -376,7 +372,8 @@ class MacaulayLayers:
     modp_rank reads as well.
 
     Inside the builder every monomial is its code under the layer's
-    code_shifts: the layer keeps one table of degree_codes, whose entry
+    code_shifts: a layer that first reaches degree k adds it, from k - 1,
+    to the one table of its field width (next_degree_codes), whose entry
     k holds the columns and entry k - deg g the multipliers of g; the
     last block is the codes one bit mask zeroes, and mu*t sits at
     index[code(mu) + code(t)].  A row is labelled by its generator and
@@ -395,17 +392,21 @@ class MacaulayLayers:
             terms, den = clear_denominators(R, F, g.terms.items())
             self.terms.append(terms)
             self.dens.append(den)
-        # (k, degree_codes table, layer(k)) of the layer asked for last:
-        # callers work through their layers in turn
-        self._layer = None
+        # (w, codes of each degree under fields w bits wide), and (k,
+        # layer(k)) of the layer asked for last: callers walk k upward
+        self._codes, self._layer = (0, [[0]]), None
 
     def layer(self, k):
         """(column codes, column of each code, first column of the last
         block, code_shifts) of the degree-k layer."""
         if self._layer is None or self._layer[0] != k:
-            w = k.bit_length()
+            v, w = len(self.varkeys), k.bit_length()
             shifts = code_shifts(self.varkeys, k)
-            table = degree_codes(len(self.varkeys), w, k)
+            if self._codes[0] != w:
+                self._codes = (w, [[0]])
+            table = self._codes[1]
+            while len(table) <= k:
+                table.append(next_degree_codes(table[-1], v, w))
             codes = table[k]
             start = len(codes)
             if self.last is not None:
@@ -415,8 +416,8 @@ class MacaulayLayers:
                 start = len(head)
                 codes = head + [c for c in codes if not c & mask]
             index = dict(zip(codes, range(len(codes))))
-            self._layer = (k, table, (codes, index, start, shifts))
-        return self._layer[2]
+            self._layer = (k, (codes, index, start, shifts))
+        return self._layer[1]
 
     def nrows(self, k, upto=None):
         """Row count of the degree-k layer of gens[:upto]."""
@@ -431,7 +432,7 @@ class MacaulayLayers:
         call is checked again under the budget in force now."""
         check_budget(self.nrows(k), monomial_count(len(self.varkeys), k))
         _, index, _, shifts = self.layer(k)
-        table = self._layer[1]
+        table = self._codes[1]
         # coded from terms on every call, so rows always follow terms
         return index, [(gi, table[k - d],
                         [(mono_code(m, shifts), c) for m, c in self.terms[gi]])

@@ -77,11 +77,8 @@ def _lderive(a):
     return [a[i] * i for i in range(1, len(a))]
 
 
-def _lintegrate(field, a, c0):
-    out = [c0]
-    for i, v in enumerate(a):
-        out.append(v / field.q(i + 1))
-    return out
+def _lintegrate(a, c0):
+    return [c0] + [v / (i + 1) for i, v in enumerate(a)]
 
 
 def _linv(field, a):
@@ -102,8 +99,7 @@ def _lexp0(field, a):
     da = _lderive(a)
     out = [field.one]
     for k in range(1, len(a)):
-        out.append(_product_coefficient(da, out, k - 1, field.zero)
-                   / field.q(k))
+        out.append(_product_coefficient(da, out, k - 1, field.zero) / k)
     return out
 
 
@@ -247,7 +243,7 @@ def series_derive(a):
 
 def series_integrate(a, c0=0):
     c0 = a.field.from_fraction(Fraction(c0)) if not _is_elem(a.field, c0) else c0
-    return SeriesQ(a.field, a.point, _lintegrate(a.field, a.coeffs, c0),
+    return SeriesQ(a.field, a.point, _lintegrate(a.coeffs, c0),
                    a.N + 1)
 
 
@@ -571,7 +567,7 @@ def _solve_ode(P, initial, N, point):
     K0, into, back = x_free(field)
     init = [into(c) if _is_elem(field, c) else K0.from_fraction(Fraction(c))
             for c in initial]
-    f0 = [c / K0.q(factorial(j)) for j, c in enumerate(init)]
+    f0 = [c / factorial(j) for j, c in enumerate(init)]
     f = [back(c) for c in f0]
 
     R, F = ring_of(K0)

@@ -140,6 +140,26 @@ def layer_rows(layers, k):
             for mu in degree_monomials(layers.varkeys, k - d)]
 
 
+def degree_code_table(v, w, k):
+    """Ascending codes, under fields w bits wide, of the monomials of
+    each degree 0..k in v >= 1 variables: entry e lists degree e.  The
+    reference for linalg.next_degree_codes, built another way.
+
+    Built from the last variable up, with no set and no sort: the codes
+    of degree e in the last j + 1 variables are, for each exponent a of
+    the first of them in ascending order, a in that variable's field
+    (bit j * w) in front of the codes of degree e - a in the last j
+    variables.  That field is the highest in use, so each list is
+    ascending as it is built.
+    """
+    table = [[e] for e in range(k + 1)]
+    for j in range(1, v):
+        s = j * w
+        table = [[(a << s) + c for a in range(e + 1) for c in table[e - a]]
+                 for e in range(k + 1)]
+    return table
+
+
 def code_monomial(code, shifts, k):
     """The monomial tuple of a packed code of layer k under
     linalg.code_shifts: each exponent masked out of its own field,

@@ -344,20 +344,20 @@ def test_degree_walk_feeds_each_row_once(monkeypatch, n, d, seed):
 def test_degree_walk_charges_each_degree_before_building_it(monkeypatch,
                                                             budget, layer):
     # k_counting is near 250 for n = 3, d = 4, where a code table up to it
-    # would hold ~1.7e8 ints; the walk makes degree k's codes only after
-    # that degree's budget check, and no table above the draws' degree d
-    tables = []
-    codes = bounds.degree_codes
+    # would hold ~1.7e8 ints; the walk makes no codes for w, and the only
+    # codes made, d steps up to the draws' degree d, come before any
+    # degree's budget check
+    steps = []
+    step = bounds.next_degree_codes
 
-    def spy(v, w, k):
-        tables.append(k)
-        assert k <= 4
-        return codes(v, w, k)
+    def spy(prev, v, w):
+        steps.append(len(prev))
+        return step(prev, v, w)
 
-    monkeypatch.setattr(bounds, "degree_codes", spy)
+    monkeypatch.setattr(bounds, "next_degree_codes", spy)
     with budget_limit(budget), pytest.raises(BudgetExceededError) as e:
         relation_experiment(3, 4, 0)
-    assert f"matrix of {layer} " in str(e.value) and tables == [4]
+    assert f"matrix of {layer} " in str(e.value) and len(steps) == 4
 
 
 def test_relation_experiment_leaves_no_cyclic_garbage():

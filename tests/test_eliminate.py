@@ -15,13 +15,12 @@ from dalg.eliminate import (Annihilator, AnnihilatorSearch, NotFoundAtK,
 from dalg.errors import BudgetExceededError, DalgError
 from dalg.fields import ring_of
 from dalg.linalg import (MacaulayLayers, SparseEliminator, budget_limit,
-                         code_shifts, degree_codes, mono_code, mono_decode,
-                         monomial_count)
+                         code_shifts, mono_code, mono_decode, monomial_count)
 from dalg.series import series_arith, verify_annihilator, witness
 from dalg.system import SystemSpec
 
-from oracles import (degree_monomials, field_replay, layer_columns,
-                     layer_rows, rand_poly)
+from oracles import (degree_code_table, degree_monomials, field_replay,
+                     layer_columns, layer_rows, rand_poly)
 
 F = get_field("Q")
 
@@ -286,7 +285,7 @@ def test_certificate_refuses_a_wrong_multiplier_code(name):
             break
     _, start = layer_columns(layers, k)
     ridx = elim.pivot_of_col[max(c for c in elim.pivot_of_col if c >= start)]
-    table = degree_codes(len(layers.varkeys), k.bit_length(), k)
+    table = degree_code_table(len(layers.varkeys), k.bit_length(), k)
     swapped = 0
     for tag in elim.trail_numerators(ridx)[0]:
         gi, mc = labels[tag]
@@ -420,7 +419,7 @@ def test_layer_columns_match_tuple_oracle(name, system, target, r, k_max):
                 assert start == len(monos) - (k == 0)
     shifts = {k: code_shifts(varkeys, k) for k in ks}
     for k in ks:
-        table = degree_codes(len(varkeys), k.bit_length(), k)
+        table = degree_code_table(len(varkeys), k.bit_length(), k)
         for e in range(k + 1):
             assert ([mono_decode(c, shifts[k]) for c in table[e]]
                     == degree_monomials(varkeys, e)), (k, e)

@@ -11,18 +11,21 @@ from math import gcd
 import pytest
 
 from dalg import JetVar, field_from_label, get_field, parse_poly, parse_system
-from dalg.eliminate import AnnihilatorSearch, find_annihilator
+from dalg import linalg
+from dalg.eliminate import (AnnihilatorSearch, eliminate_search,
+                           find_annihilator)
 from dalg.errors import BudgetExceededError, DalgError
 from dalg.dpoly import mono_mul
 from dalg.fields import (clear_denominators, primitive_divisor,
                          ring_cofactors, ring_of)
 from dalg.hilbert import check_dregular, hf
 from dalg.linalg import (MOD_P, SparseEliminator, budget_limit, check_budget,
-                         code_shifts, degree_codes, modp_rank, mono_code,
-                         monomial_count)
+                         code_shifts, modp_rank, mono_code, monomial_count,
+                         next_degree_codes)
 
-from oracles import (degree_monomials, dense_rank, gcd_fold_divisor,
-                     rand_coeff, reference_add_row, trail_of)
+from oracles import (degree_code_table, degree_monomials, dense_rank,
+                     gcd_fold_divisor, rand_coeff, reference_add_row,
+                     trail_of)
 
 
 def _random_rows(rng, nrows, ncols, density=0.4, frac=False):
@@ -418,20 +421,50 @@ def test_code_of_a_product_is_the_sum_of_codes():
                         == mono_code(mono_mul(m1, m2), shifts))
 
 
-@pytest.mark.parametrize("v", range(1, 8))
+@pytest.mark.parametrize("v", range(1, 13))
 def test_degree_codes_are_the_sorted_codes_of_each_degree(v):
-    # k = 0..9 packs exponents in fields 0 to 4 bits wide; every degree
-    # e <= k of the table is strictly ascending and lists the codes of
-    # the oracle's degree-e monomials
+    # k = 0..9 packs exponents in fields 0 to 4 bits wide; next_degree_codes
+    # chained from [0] gives, at every degree e <= k, strictly ascending
+    # codes: those of the oracle's degree-e monomials, and the reference
+    # table's entry e
     keys = list(range(v))
     for k in range(10):
+        w = k.bit_length()
         shifts = code_shifts(keys, k)
-        table = degree_codes(v, k.bit_length(), k)
-        assert len(table) == k + 1
-        for e, codes in enumerate(table):
+        reference = degree_code_table(v, w, k)
+        codes = [0]
+        for e in range(k + 1):
+            if e:
+                codes = next_degree_codes(codes, v, w)
             assert all(a < b for a, b in zip(codes, codes[1:])), (k, e)
+            assert codes == reference[e], (k, e)
             assert codes == sorted(mono_code(m, shifts)
                                    for m in degree_monomials(keys, e)), (k, e)
+
+
+def test_no_degree_is_made_twice_at_one_width(monkeypatch):
+    # a walk over k makes each degree's codes once per field width, from
+    # the degree below, and starts over only where k.bit_length() grows,
+    # at k = 1, 2, 4, 8: the exp+tan sum search (12 variables, hit at
+    # k = 4) makes 8 steps, and the nonregular pair's regularity check
+    # to cutoff 8 makes 18, no (width, degree) twice
+    steps = []
+    step = linalg.next_degree_codes
+
+    def spy(prev, v, w):
+        steps.append((w, len(prev)))
+        return step(prev, v, w)
+
+    monkeypatch.setattr(linalg, "next_degree_codes", spy)
+    sum_sys = parse_system("field: Q\ntarget: z\ny1' - y1\n"
+                           "y2' - 1 - y2^2\nz - y1 - y2\n")
+    assert eliminate_search(sum_sys, "z", 2, 6).k_searched == 4
+    assert steps == [(1, 1), (2, 1), (2, 12), (2, 78),
+                     (3, 1), (3, 12), (3, 78), (3, 364)]
+    steps.clear()
+    check_dregular(parse_system("field: Q\ntarget: y2\ny1*y2' - 2*y1*y2\n"
+                                "y1*y1' - 3*y1\n"), 0, cutoff=8)
+    assert len(steps) == len(set(steps)) == 18
 
 
 @pytest.mark.parametrize("label", ["Q", "Qi", "Qi(c;)", "Q(a;x)"],

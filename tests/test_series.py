@@ -207,6 +207,34 @@ def test_derive_integrate_inverse():
     assert back.truncate(9) == s
 
 
+@pytest.mark.parametrize("label", ["Q(;x)", "Qi(c;)", "Qi(a;x)"])
+def test_integrate_and_exp0_match_division_in_the_field(label):
+    # both divide each coefficient by a plain int; the coefficients, and
+    # the series as printed, equal those of lists divided by field.q(n)
+    # in the field's own arithmetic: integrate shifts v_i / (i + 1) up
+    # one place, and exp(a) = E has E_0 = 1 and
+    # k * E_k = sum_(j=1..k) j * a_j * E_(k-j)
+    field = field_from_label(label)
+    rng = random.Random(f"divide:{label}")
+    for _ in range(4):
+        N = rng.randint(1, 7)
+        a = [field.zero] + [rand_coeff(rng, field) for _ in range(N)]
+        c0 = rand_coeff(rng, field)
+        s = SeriesQ(field, 0, a, N)
+        want = SeriesQ(field, 0, [c0] + [v / field.q(i + 1)
+                                         for i, v in enumerate(a)], N + 1)
+        got = series_integrate(s, c0)
+        assert got.coeffs == want.coeffs and str(got) == str(want)
+        e = [field.one]
+        for k in range(1, N + 1):
+            acc = field.zero
+            for j in range(1, k + 1):
+                acc = acc + a[j] * j * e[k - j]
+            e.append(acc / field.q(k))
+        want, got = SeriesQ(field, 0, e, N), series_exp0(s)
+        assert got.coeffs == want.coeffs and str(got) == str(want)
+
+
 def test_valuation_and_zero_detection():
     s = qs([0, 0, 0, 5], 6)
     assert s.valuation() == 3 and not s.is_zero_to_truncation()
